@@ -1,0 +1,8 @@
+"""Make ``src`` and the benchmark's own modules importable for its self-tests."""
+
+import sys
+from pathlib import Path
+
+HERE = Path(__file__).resolve().parent
+sys.path.insert(0, str(HERE.parent / "src"))
+sys.path.insert(0, str(HERE))
