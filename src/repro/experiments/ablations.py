@@ -225,35 +225,40 @@ def heldout_input_check(
     §4: "representative inputs for each benchmark are applied to
     establish reliable profile information"). If profiles generalize,
     the call decrease measured on held-out inputs should track the
-    trained-inputs number closely.
+    trained-inputs number closely. Each benchmark is compiled,
+    profiled on its train half and inlined once; both arms share that.
     """
-    points = []
-    for subset in ("train-inputs", "held-out-inputs"):
-        incs, decs = [], []
-        for benchmark in benchmark_suite():
-            module = benchmark.compile()
-            optimize_module(module)
-            specs = benchmark.make_runs(scale)
-            if len(specs) < 2:
-                continue
-            train = specs[0::2]
-            test = specs[1::2]
-            profile = profile_module(module, train, engine=engine)
-            inlined = InlineExpander(module, profile).run().module
-            evaluate = train if subset == "train-inputs" else test
-            base = profile_module(module, evaluate, engine=engine)
-            after = profile_module(inlined, evaluate, engine=engine)
+    arms = {"train-inputs": ([], []), "held-out-inputs": ([], [])}
+    for benchmark in benchmark_suite():
+        module = benchmark.compile()
+        optimize_module(module)
+        specs = benchmark.make_runs(scale)
+        if len(specs) < 2:
+            continue
+        train = specs[0::2]
+        test = specs[1::2]
+        profile = profile_module(module, train, engine=engine)
+        inlined = InlineExpander(module, profile).run().module
+        original = module.total_code_size()
+        increase = (inlined.total_code_size() - original) / original
+        # The train arm's baseline is the profile the inliner used.
+        held_out = profile_module(module, test, engine=engine)
+        for subset, inputs, base in (
+            ("train-inputs", train, profile),
+            ("held-out-inputs", test, held_out),
+        ):
+            after = profile_module(inlined, inputs, engine=engine)
+            incs, decs = arms[subset]
             decs.append(
                 max(0.0, 1.0 - after.avg_calls / base.avg_calls)
                 if base.avg_calls
                 else 0.0
             )
-            original = module.total_code_size()
-            incs.append((inlined.total_code_size() - original) / original)
-        points.append(
-            AblationPoint(subset, statistics.fmean(incs), statistics.fmean(decs))
-        )
-    return points
+            incs.append(increase)
+    return [
+        AblationPoint(subset, statistics.fmean(incs), statistics.fmean(decs))
+        for subset, (incs, decs) in arms.items()
+    ]
 
 
 def render_points(title: str, points: list[AblationPoint]) -> str:

@@ -6,6 +6,16 @@ profile over the input set, classify call sites, inline, re-profile the
 inlined program over the same inputs, and check output equivalence
 between the original and inlined binaries on every input.
 
+The output check runs nothing of its own. Each profiling run keeps a
+digest of its exit code, stdout and written files
+(:attr:`~repro.profiler.profile.ProfileData.outputs`), so the check is a
+diff of the two profiles' digests (:func:`diff_outputs`). Only an input
+whose digests differ is run again, through :func:`compare_outputs`, to
+say what differed. Every input thus runs once per module. The
+differential oracle (:func:`repro.verify.differential.verify_inlining`)
+is separate: it still runs both modules itself, in lockstep, as an
+independent check.
+
 Every stage is instrumented: pass an
 :class:`~repro.observability.Observability` as ``obs`` to collect a
 structured trace (phase spans, inline-decision audit records) and a
@@ -15,6 +25,7 @@ all outputs byte-identical.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import logging
 from dataclasses import dataclass, field
@@ -56,6 +67,10 @@ class BenchmarkResult:
     #: Human-readable description of every input whose outputs diverged
     #: between the original and inlined binaries (empty when they match).
     output_divergences: list[str] = field(default_factory=list)
+    #: VM executions this benchmark's pipeline made (profiling runs not
+    #: served from a cache, plus re-runs of diverging inputs); ``None``
+    #: when metrics were off.
+    vm_runs: int | None = None
 
     # ------------------------------------------------------------------
     # Table 1 quantities
@@ -102,6 +117,8 @@ class OutputComparison:
     #: One entry per diverging input: which spec, and what differed
     #: (exit code vs. stdout vs. written files).
     divergences: list[str] = field(default_factory=list)
+    #: Inputs :func:`diff_outputs` had to run again (on each module).
+    rechecked: int = 0
 
 
 def run_benchmark(
@@ -125,10 +142,18 @@ def run_benchmark(
     selects a custom pre-optimization pipeline (default: the full
     five-pass set). ``check`` re-verifies IL well-formedness after
     every inline phase (the ``--check`` mode).
+
+    With ``check_outputs`` the original and inlined programs must agree
+    on exit code, stdout and written files for every input. The check
+    diffs the output digests both profiling passes recorded, so each
+    input runs once per module; :func:`compare_outputs` re-runs only
+    the inputs whose digests differ, to describe the divergence (or
+    every input, when a profile carries no digests).
     """
     params = params or InlineParameters()
     obs = resolve(obs)
     tracer = obs.tracer
+    runs_before = obs.metrics.counters.get("vm.runs", 0)
     # Mint a per-benchmark trace id (unless the caller already bound
     # one, e.g. a service request): every span/event/decision this run
     # emits then carries it, so one grep isolates one benchmark even in
@@ -189,8 +214,9 @@ def run_benchmark(
         comparison = OutputComparison(matches=True)
         if check_outputs:
             with tracer.span("benchmark.check_outputs", name=benchmark.name):
-                comparison = compare_outputs(
-                    module, inline_result.module, specs, engine=engine
+                comparison = diff_outputs(
+                    module, inline_result.module, specs, profile,
+                    post_profile, engine=engine,
                 )
             for divergence in comparison.divergences:
                 tracer.event(
@@ -205,10 +231,18 @@ def run_benchmark(
             )
         attrs["outputs_match"] = comparison.matches
         attrs["expansions"] = len(inline_result.records)
+    vm_runs = None
     if obs.metrics.enabled:
         obs.metrics.inc("pipeline.benchmarks")
         if not comparison.matches:
             obs.metrics.inc("pipeline.output_divergences", len(comparison.divergences))
+        # compare_outputs runs both modules without metrics, so its
+        # re-runs are added by hand.
+        vm_runs = (
+            obs.metrics.counters.get("vm.runs", 0)
+            - runs_before
+            + 2 * comparison.rechecked
+        )
     return BenchmarkResult(
         name=benchmark.name,
         c_lines=benchmark.c_lines,
@@ -222,7 +256,46 @@ def run_benchmark(
         outputs_match=comparison.matches,
         params=params,
         output_divergences=comparison.divergences,
+        vm_runs=vm_runs,
     )
+
+
+def diff_outputs(
+    module_a,
+    module_b,
+    specs: list[RunSpec],
+    profile_a: ProfileData,
+    profile_b: ProfileData,
+    engine: str = "counting",
+) -> OutputComparison:
+    """Compare two modules' outputs by their profiles' digests.
+
+    ``profile_a`` and ``profile_b`` must be the profiles of
+    ``module_a`` and ``module_b`` over ``specs``. Only inputs whose
+    digests differ run again, through :func:`compare_outputs`, so the
+    result equals ``compare_outputs(module_a, module_b, specs)`` without
+    executing matching inputs. Every input runs again when either
+    profile has no digests for ``specs``. A re-run input keeps its
+    position in ``specs`` as its label ("input 7", not "input 0").
+    """
+    digests = (profile_a.outputs, profile_b.outputs)
+    if any(d is None or len(d) != len(specs) for d in digests):
+        indices = range(len(specs))
+    else:
+        indices = [
+            index for index, (a, b) in enumerate(zip(*digests)) if a != b
+        ]
+    if not indices:
+        return OutputComparison(matches=True)
+    suspects = [
+        dataclasses.replace(
+            specs[index], label=specs[index].label or f"input {index}"
+        )
+        for index in indices
+    ]
+    comparison = compare_outputs(module_a, module_b, suspects, engine=engine)
+    comparison.rechecked = len(suspects)
+    return comparison
 
 
 def compare_outputs(

@@ -54,6 +54,7 @@ EXACT_METRICS = (
     "post_calls",
     "post_returns",
     "code_size_after",
+    "vm_runs",
 )
 
 
@@ -107,6 +108,7 @@ def _benchmark_payload(result) -> dict:
         "expansions": len(result.inline.records),
         "functions_removed": len(result.inline.removed_functions),
         "outputs_match": result.outputs_match,
+        "vm_runs": result.vm_runs,
         "audit": summarize_decisions(result.inline.decisions),
     }
 
@@ -441,6 +443,11 @@ def compare(
         for metric in EXACT_METRICS:
             base_value = _exact_value(base, metric)
             cur_value = _exact_value(cur, metric)
+            # A metric the baseline predates is new, not a regression.
+            if _has_metric(cur, metric) and not _has_metric(base, metric):
+                status = "added"
+            else:
+                status = _classify(base_value, cur_value, epsilon)
             deltas.append(
                 MetricDelta(
                     benchmark=name,
@@ -448,7 +455,7 @@ def compare(
                     baseline=base_value,
                     current=cur_value,
                     kind="exact",
-                    status=_classify(base_value, cur_value, epsilon),
+                    status=status,
                 )
             )
     for phase in sorted(
@@ -484,10 +491,22 @@ def compare(
     return comparison
 
 
+def _metric_source(payload: dict, metric: str) -> tuple[dict, str]:
+    """The dict and key one EXACT_METRICS name lives under."""
+    if metric.startswith("post_"):
+        return payload.get("post_counters", {}), metric[len("post_") :]
+    if metric in ("il", "ct", "calls", "returns"):
+        return payload.get("counters", {}), metric
+    return payload, metric
+
+
+def _has_metric(payload: dict, metric: str) -> bool:
+    source, key = _metric_source(payload, metric)
+    return source.get(key) is not None
+
+
 def _exact_value(payload: dict, metric: str) -> float:
     """Resolve one EXACT_METRICS name against a per-benchmark payload."""
-    if metric.startswith("post_"):
-        return payload.get("post_counters", {}).get(metric[len("post_") :], 0)
-    if metric in ("il", "ct", "calls", "returns"):
-        return payload.get("counters", {}).get(metric, 0)
-    return payload.get(metric, 0)
+    source, key = _metric_source(payload, metric)
+    value = source.get(key)
+    return 0 if value is None else value

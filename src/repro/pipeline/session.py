@@ -56,8 +56,9 @@ except ImportError:  # pragma: no cover - non-POSIX platform
 from repro.observability import Observability, resolve
 
 #: Bump when the pickled artifact layout changes; old entries become
-#: invisible (a different subdirectory), not errors.
-CACHE_FORMAT = 1
+#: invisible (a different subdirectory), not errors. Format 2: profiles
+#: carry per-run output digests (``ProfileData.outputs``).
+CACHE_FORMAT = 2
 
 #: Default on-disk store location (created on first use).
 DEFAULT_CACHE_DIR = ".repro-cache"
@@ -274,7 +275,7 @@ class CompilationSession:
     # the on-disk store (sharded, process-safe, corruption-tolerant)
 
     def _disk_path(self, kind: str, key: str) -> str:
-        """Sharded entry path: ``v1/<kind>/<first-2-hex>/<key>.pkl``."""
+        """Sharded entry path: ``v<FORMAT>/<kind>/<first-2-hex>/<key>.pkl``."""
         return os.path.join(self._dir, kind, key[:2], f"{key}.pkl")
 
     def _legacy_disk_path(self, kind: str, key: str) -> str:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass, field
 
 from repro.il.module import ILModule
@@ -33,12 +34,19 @@ class ProfileData:
     per typical run; ``arc_weights`` maps static call-site ids to
     expected invocation counts — exactly the weighted-call-graph inputs
     of §2.2. Totals over all runs are kept in ``total``.
+
+    ``outputs`` holds one :func:`output_digest` per run, in input
+    order, so two profiles over the same inputs can be checked for
+    equal program outputs without running anything again. It is
+    ``None`` for profiles that were not measured here (loaded from a
+    file, or estimated statically).
     """
 
     runs: int
     total: Counters
     node_weights: dict[str, float] = field(default_factory=dict)
     arc_weights: dict[int, float] = field(default_factory=dict)
+    outputs: list[str] | None = None
 
     @property
     def avg_il(self) -> float:
@@ -59,8 +67,10 @@ class ProfileData:
         return self.arc_weights.get(site, 0.0)
 
     @classmethod
-    def from_counters(cls, total: Counters, runs: int) -> "ProfileData":
-        profile = cls(runs=runs, total=total)
+    def from_counters(
+        cls, total: Counters, runs: int, outputs: list[str] | None = None
+    ) -> "ProfileData":
+        profile = cls(runs=runs, total=total, outputs=outputs)
         divisor = runs if runs else 1
         profile.node_weights = {
             name: count / divisor for name, count in total.func_counts.items()
@@ -69,6 +79,29 @@ class ProfileData:
             site: count / divisor for site, count in total.site_counts.items()
         }
         return profile
+
+
+def output_digest(result: RunResult) -> str:
+    """A sha256 over the exit code, stdout and written files of a run.
+
+    These are the channels
+    :func:`~repro.experiments.pipeline.compare_outputs` compares; stderr
+    is left out. Files go in sorted by path, and every chunk is prefixed
+    by its length, so no two different outputs frame to the same bytes.
+    """
+    digest = hashlib.sha256()
+
+    def chunk(data: bytes) -> None:
+        digest.update(len(data).to_bytes(8, "little"))
+        digest.update(data)
+
+    chunk(str(result.exit_code).encode())
+    chunk(bytes(result.os.stdout))
+    files = result.os.written_files
+    for path in sorted(files):
+        chunk(path.encode())
+        chunk(files[path])
+    return digest.hexdigest()
 
 
 def run_once(
@@ -103,6 +136,8 @@ def profile_module(
 ) -> ProfileData:
     """Profile ``module`` over every input in ``specs``.
 
+    Each run's :func:`output_digest` is kept in ``outputs``, so the
+    profile doubles as a record of what the program printed and wrote.
     Raises RuntimeError when a run exits non-zero and ``check_exit`` is
     set, because a crashed run would silently poison the weights.
     """
@@ -110,6 +145,7 @@ def profile_module(
         raise ValueError("profiling requires at least one input")
     obs = resolve(obs)
     total = Counters()
+    outputs: list[str] = []
     with obs.tracer.span("profile.module", runs=len(specs)):
         for index, spec in enumerate(specs):
             label = spec.label or f"run {index}"
@@ -126,6 +162,7 @@ def profile_module(
                     f" stderr: {result.os.stderr_text()[:200]!r}"
                 )
             total.merge(result.counters)
+            outputs.append(output_digest(result))
     if obs.metrics.enabled:
         obs.metrics.inc("profiler.runs", len(specs))
-    return ProfileData.from_counters(total, len(specs))
+    return ProfileData.from_counters(total, len(specs), outputs)

@@ -70,6 +70,10 @@ class TestBenchRecord:
         assert comparison.ok()
         assert comparison.verdict() == "PASS"
 
+    def test_vm_runs_is_two_per_input(self, record):
+        for data in record.benchmarks.values():
+            assert data["vm_runs"] == 2 * data["runs"]
+
     def test_default_path_uses_config_name(self, record):
         assert record.default_path() == "BENCH_t.json"
 
@@ -129,6 +133,24 @@ class TestCompare:
         assert not comparison.ok()
         # the other direction is an addition, not a failure
         assert compare(shrunk, record).ok()
+
+    def test_metric_missing_from_baseline_is_added(self, record):
+        payload = json.loads(json.dumps(record.to_dict()))
+        for data in payload["benchmarks"].values():
+            del data["vm_runs"]
+        older = BenchRecord.from_dict(payload)
+        comparison = compare(older, record)
+        assert comparison.ok()
+        added = {(d.benchmark, d.metric) for d in comparison.deltas
+                 if d.status == "added"}
+        assert added == {("wc", "vm_runs"), ("tee", "vm_runs")}
+
+    def test_more_vm_runs_regress(self, record):
+        payload = json.loads(json.dumps(record.to_dict()))
+        payload["benchmarks"]["wc"]["vm_runs"] *= 2
+        comparison = compare(record, BenchRecord.from_dict(payload))
+        offenders = {(d.benchmark, d.metric) for d in comparison.regressions}
+        assert offenders == {("wc", "vm_runs")}
 
     def test_time_regressions_do_not_gate_by_default(self, record):
         payload = record.to_dict()

@@ -124,3 +124,32 @@ class TestReportHelpers:
     def test_fixed_inf(self):
         assert fixed(float("inf")) == "inf"
         assert fixed(3.14159, 2) == "3.14"
+
+
+class TestHeldOutAblation:
+    def test_profiles_each_module_input_set_once(self, monkeypatch):
+        from repro.experiments import ablations
+
+        profiled, alive = [], []
+        original = ablations.profile_module
+
+        def profile_module(module, specs, **kwargs):
+            alive.append((module, specs))  # ids stay unique while alive
+            profiled.append((id(module), tuple(id(spec) for spec in specs)))
+            return original(module, specs, **kwargs)
+
+        monkeypatch.setattr(ablations, "profile_module", profile_module)
+        points = ablations.heldout_input_check("small")
+        assert len(profiled) == len(set(profiled))
+        # The table is the one the two-pass sweep rendered.
+        assert ablations.render_points("Ablation E.", points) == (
+            "Ablation E.\n"
+            "configuration    code inc  call dec\n"
+            "---------------  --------  --------\n"
+            "train-inputs     17.0%     60.4%   \n"
+            "held-out-inputs  17.0%     57.5%   "
+        )
+        assert [point.call_decrease for point in points] == [
+            0.6038809721572699,
+            0.5751633340244072,
+        ]

@@ -13,6 +13,7 @@ from repro.observability.export import (
     PROMETHEUS_CONTENT_TYPE,
     parse_prometheus,
 )
+from repro.pipeline.session import CACHE_FORMAT
 from repro.service import (
     ServiceClient,
     ServiceError,
@@ -248,7 +249,7 @@ class TestProcessBackend:
             handle.stop()
         sharded = [
             name
-            for _root, _dirs, files in os.walk(os.path.join(cache_dir, "v1"))
+            for _root, _dirs, files in os.walk(os.path.join(cache_dir, f"v{CACHE_FORMAT}"))
             for name in files
         ]
         assert sharded, "process workers populated the sharded store"

@@ -12,8 +12,12 @@ from repro.pipeline import (
     module_content_key,
     profile_cache_key,
 )
+from repro.pipeline.session import CACHE_FORMAT
 from repro.profiler.profile import RunSpec
 from repro.vm.machine import Machine
+
+#: The versioned store directory entries of this format land in.
+STORE = f"v{CACHE_FORMAT}"
 
 SOURCE = """
 #include <sys.h>
@@ -123,7 +127,7 @@ class TestDiskStore:
     def test_corrupt_entry_is_a_miss_not_an_error(self, tmp_path):
         cache_dir = str(tmp_path / "cache")
         CompilationSession(cache_dir=cache_dir).compiled_module(SOURCE)
-        store = tmp_path / "cache" / "v1"
+        store = tmp_path / "cache" / STORE
         entries = list(store.rglob("*.pkl"))
         assert entries
         for entry in entries:
@@ -145,9 +149,9 @@ class TestDiskStore:
         cache_dir = str(tmp_path / "cache")
         session = CompilationSession(cache_dir=cache_dir)
         session.compiled_module(SOURCE)
-        assert list((tmp_path / "cache" / "v1").iterdir())
+        assert list((tmp_path / "cache" / STORE).iterdir())
         session.clear(disk=True)
-        assert not list((tmp_path / "cache" / "v1").iterdir())
+        assert not list((tmp_path / "cache" / STORE).iterdir())
         obs = Observability.create()
         again = CompilationSession(cache_dir=cache_dir, obs=obs)
         again.compiled_module(SOURCE)
@@ -162,7 +166,7 @@ class TestShardedLayout:
     def test_entries_live_in_two_hex_shards(self, tmp_path):
         cache_dir = str(tmp_path / "cache")
         CompilationSession(cache_dir=cache_dir).compiled_module(SOURCE)
-        entries = list((tmp_path / "cache" / "v1").rglob("*.pkl"))
+        entries = list((tmp_path / "cache" / STORE).rglob("*.pkl"))
         assert len(entries) == 1
         entry = entries[0]
         assert entry.parent.name == entry.stem[:2]
@@ -171,7 +175,7 @@ class TestShardedLayout:
     def test_legacy_flat_entries_still_readable(self, tmp_path):
         cache_dir = str(tmp_path / "cache")
         CompilationSession(cache_dir=cache_dir).compiled_module(SOURCE)
-        store = tmp_path / "cache" / "v1"
+        store = tmp_path / "cache" / STORE
         (entry,) = store.rglob("*.pkl")
         # Demote the entry to the pre-sharding flat layout.
         kind = entry.parent.parent.name
@@ -204,10 +208,10 @@ class TestDiskEviction:
         )
         session.compiled_module(SOURCE)
         os.utime(
-            next((tmp_path / "cache" / "v1").rglob("*.pkl")), times=(1, 1)
+            next((tmp_path / "cache" / STORE).rglob("*.pkl")), times=(1, 1)
         )
         session.compiled_module(OTHER_SOURCE)
-        entries = list((tmp_path / "cache" / "v1").rglob("*.pkl"))
+        entries = list((tmp_path / "cache" / STORE).rglob("*.pkl"))
         assert len(entries) == 1
         assert _cache_counters(obs)["disk_evictions"] == 1
         # The survivor is the newer entry: OTHER_SOURCE is a disk hit
