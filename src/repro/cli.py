@@ -7,8 +7,11 @@ Subcommands::
     impact-inline inline FILE.c [--stdin TEXT] [--arg A ...] [--dump]
         Profile the program on the given input, inline, re-run, and
         report the call decrease / code increase.
-    impact-inline tables [--scale small|full] [--jobs N] [--cache-dir [DIR]]
-        Regenerate the paper's tables (same as python -m repro.experiments).
+    impact-inline tables [table1|...|all|ablations|extensions]
+                         [--scale small|full] [--benchmarks ...]
+                         [--jobs N] [--cache-dir [DIR]]
+        Regenerate the paper's tables, the ablations, or the extension
+        experiments (``python -m repro.experiments`` is the same command).
     impact-inline bench [--benchmarks ...] [--config NAME] [-o FILE]
         Run the suite under full telemetry and write a schema-versioned
         BENCH_<config>.json record (counts, phase times, cache rates).
@@ -23,21 +26,6 @@ Subcommands::
         diff the counting interpreter against the fast tier on every
         benchmark (exit code, stdout, written files, and the full
         counter dictionaries must be identical).
-    impact-inline serve [--socket PATH] [--jobs N] [--executor ...]
-        Long-running compilation service on a local Unix socket:
-        batches and deduplicates concurrent compile/profile/inline/
-        check requests onto a worker pool; SIGINT/SIGTERM drain
-        gracefully. ``--prom-out FILE`` keeps a Prometheus text
-        exposition file fresh, ``--slow-log FILE`` appends a JSONL
-        record for every slow/failed request. See README "Service
-        mode".
-    impact-inline call OP [FILE.c] [--socket PATH] ...
-        Client for a running server: compile|profile|inline|check a
-        source file, or ping|health|stats|metrics|shutdown the server.
-    impact-inline top [--socket PATH] [--interval S] [--count N]
-        Live dashboard over a running server: throughput, per-op
-        latency percentiles, queue depth, pool utilization, and cache
-        hit rates, refreshed every --interval seconds.
 
 ``run``, ``inline``, and ``tables`` accept ``--check`` (re-verify IL
 well-formedness — for ``inline`` and ``tables`` after every pipeline
@@ -46,14 +34,14 @@ JSONL trace: phase spans, events, inline-decision audit records),
 ``--metrics-out FILE`` (JSON snapshot of pipeline counters/gauges/
 histograms), and ``--summary`` (metrics summary table on stderr); see
 README "Observability". ``tables`` additionally takes ``--jobs N``
-(parallel suite execution), ``--cache-dir [DIR]`` (content-addressed
-compile/profile cache), and ``--passes SPEC`` (custom pre-optimization
-pipeline); see README "Pipeline architecture". ``bench``/``report``
-are the performance-tracking loop; see README "Performance tracking".
-``run``, ``inline``, ``tables``, ``bench``, ``check``, ``serve``, and
-``call`` accept ``--engine counting|fast`` to pick the VM execution
-engine; both engines produce identical outputs and counters (README
-"Execution engines").
+(suite execution on N worker processes), ``--cache-dir [DIR]``
+(content-addressed compile/profile cache), and ``--passes SPEC``
+(custom pre-optimization pipeline); see README "Pipeline
+architecture". ``bench``/``report`` are the performance-tracking loop;
+see README "Performance tracking". ``run``, ``inline``, ``tables``,
+``bench``, and ``check`` accept ``--engine counting|fast`` to pick the
+VM execution engine; both engines produce identical outputs and
+counters (README "Execution engines").
 """
 
 from __future__ import annotations
@@ -259,29 +247,98 @@ def _cmd_graph(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_tables(args: argparse.Namespace) -> int:
-    from repro.experiments.__main__ import main as experiments_main
+def _run_ablations(args: argparse.Namespace) -> None:
+    from repro.experiments.ablations import (
+        baseline_comparison,
+        growth_limit_sweep,
+        linearization_comparison,
+        render_points,
+        threshold_sweep,
+    )
 
-    argv = [args.what, "--scale", args.scale]
-    if args.jobs != 1:
-        argv += ["--jobs", str(args.jobs)]
-    if args.executor != "thread":
-        argv += ["--executor", args.executor]
+    sweeps = (
+        ("Ablation A: weight threshold T.", threshold_sweep),
+        ("Ablation B: profile-guided vs. static heuristics.", baseline_comparison),
+        ("Ablation C: code-growth limit.", growth_limit_sweep),
+        ("Ablation D: linearization order.", linearization_comparison),
+    )
+    for index, (title, sweep) in enumerate(sweeps):
+        if index:
+            print()
+        print(
+            render_points(
+                title, sweep(args.scale, jobs=args.jobs, engine=args.engine)
+            )
+        )
+
+
+def _run_extensions(scale: str) -> None:
+    """The extension experiments: icache, placement, regalloc, LICM."""
+    from repro.icache import icache_experiment
+    from repro.layout import placement_experiment
+    from repro.regalloc import pressure_experiment
+    from repro.workloads import benchmark_by_name
+
+    benchmark = benchmark_by_name("compress")
+    module = benchmark.compile()
+    specs = benchmark.make_runs(scale)[:2]
+
+    print("I-cache miss ratios before/after inlining (compress, scattered):")
+    for point in icache_experiment(module, specs):
+        print(
+            f"  {point.size_bytes:5d}B {point.associativity}-way:"
+            f" {point.miss_before:.4f} -> {point.miss_after:.4f}"
+            f" ({point.improvement:+.0%})"
+        )
+    print()
+    print("Placement vs. inlining (compress):")
+    for p in placement_experiment(module, specs):
+        print(
+            f"  {p.size_bytes:5d}B {p.associativity}-way: scattered"
+            f" {p.miss_scattered:.4f}, placed {p.miss_placed:.4f}"
+            f" ({p.placement_improvement:+.0%}), inlined"
+            f" {p.miss_inlined_scattered:.4f} ({p.inlining_improvement:+.0%})"
+        )
+    print()
+    print("Register memory traffic before/after inlining (compress):")
+    for k, before, after in pressure_experiment(module, specs, ks=(4, 8, 16)):
+        print(
+            f"  K={k:2d}: save/restore {before.save_restore_events:.0f} ->"
+            f" {after.save_restore_events:.0f}; spills"
+            f" {before.spill_events:.0f} -> {after.spill_events:.0f}"
+        )
+
+
+def _cmd_tables(args: argparse.Namespace) -> int:
+    from repro.experiments.pipeline import run_suite
+    from repro.experiments.tables import TABLES
+
+    if args.what == "extensions":
+        _run_extensions(args.scale)
+        return 0
+    if args.what == "ablations":
+        _run_ablations(args)
+        return 0
+    session = None
     if args.cache_dir:
-        argv += ["--cache-dir", args.cache_dir]
-    if args.passes:
-        argv += ["--passes", args.passes]
-    if args.engine != "counting":
-        argv += ["--engine", args.engine]
-    if args.check:
-        argv += ["--check"]
-    if args.trace:
-        argv += ["--trace", args.trace]
-    if args.metrics_out:
-        argv += ["--metrics-out", args.metrics_out]
-    if args.summary:
-        argv += ["--summary"]
-    return experiments_main(argv)
+        from repro.pipeline.session import CompilationSession
+
+        session = CompilationSession(cache_dir=args.cache_dir)
+    obs = _make_obs(args)
+    results = run_suite(
+        args.scale,
+        names=args.benchmarks,
+        progress=True,
+        obs=obs,
+        jobs=args.jobs,
+        session=session,
+        pass_spec=args.passes,
+        check=args.check,
+        engine=args.engine,
+    )
+    print(TABLES[args.what](results))
+    _export_obs(args, obs)
+    return 0
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
@@ -292,7 +349,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         scale=args.scale,
         names=args.benchmarks,
         jobs=args.jobs,
-        executor=args.executor,
         pass_spec=args.passes,
         params=InlineParameters(
             weight_threshold=args.threshold,
@@ -382,105 +438,6 @@ def _cmd_check(args: argparse.Namespace) -> int:
         failed = failed or not fuzz.ok
     _export_obs(args, obs)
     return 1 if failed else 0
-
-
-def _cmd_serve(args: argparse.Namespace) -> int:
-    import asyncio
-    import signal
-
-    from repro.service.server import CompilationService
-
-    obs = _make_obs(args) or Observability.create()
-    service = CompilationService(
-        args.socket,
-        jobs=args.jobs,
-        executor=args.executor,
-        cache_dir=args.cache_dir,
-        obs=obs,
-        max_batch=args.max_batch,
-        slow_log=args.slow_log,
-        slow_threshold=args.slow_threshold,
-        prom_out=args.prom_out,
-        prom_interval=args.prom_interval,
-        engine=args.engine,
-    )
-
-    async def main() -> None:
-        await service.start()
-        loop = asyncio.get_running_loop()
-        for signum in (signal.SIGINT, signal.SIGTERM):
-            try:
-                loop.add_signal_handler(
-                    signum, lambda: loop.create_task(service.shutdown())
-                )
-            except (ValueError, NotImplementedError, RuntimeError):
-                # Not the main thread (tests) or no signal support on
-                # this platform; the admin 'shutdown' op still drains.
-                break
-        print(
-            f"serving on {args.socket} ({args.jobs} {args.executor}"
-            f" worker{'s' if args.jobs != 1 else ''});"
-            " send SIGINT/SIGTERM or an admin 'shutdown' to drain",
-            file=sys.stderr,
-        )
-        await service.wait_stopped()
-
-    asyncio.run(main())
-    _export_obs(args, obs)
-    return 0
-
-
-def _cmd_call(args: argparse.Namespace) -> int:
-    import json
-
-    from repro.service.client import ServiceClient, ServiceError
-    from repro.service.ops import OPS
-
-    params: dict = {}
-    if args.op in OPS:
-        if not args.file:
-            print(f"call {args.op} requires a FILE.c", file=sys.stderr)
-            return 2
-        with open(args.file, encoding="utf-8") as handle:
-            params["source"] = handle.read()
-        params["filename"] = args.file
-        if args.stdin:
-            params["stdin"] = args.stdin
-        if args.arg:
-            params["argv"] = list(args.arg)
-        if args.passes:
-            params["passes"] = args.passes
-        if args.op in ("inline", "check"):
-            params["threshold"] = args.threshold
-            params["growth"] = args.growth
-        if args.engine != "counting" and args.op != "compile":
-            params["engine"] = args.engine
-        if args.dump and args.op == "compile":
-            params["dump"] = True
-    with ServiceClient(args.socket) as client:
-        try:
-            envelope = client.request(args.op, params, raw=True)
-        except ServiceError as exc:
-            print(f"service error: {exc}", file=sys.stderr)
-            return 1
-    if args.op == "metrics" and envelope.get("ok"):
-        # Prometheus text exposition goes to stdout verbatim, scrapable
-        # with `impact-inline call metrics > metrics.prom`.
-        sys.stdout.write(envelope["result"]["body"])
-        return 0
-    print(json.dumps(envelope, indent=2, sort_keys=True, default=str))
-    return 0 if envelope.get("ok") else 1
-
-
-def _cmd_top(args: argparse.Namespace) -> int:
-    from repro.service.top import watch
-
-    return watch(
-        args.socket,
-        interval=args.interval,
-        count=args.count,
-        clear=not args.no_clear,
-    )
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
@@ -621,26 +578,37 @@ def main(argv: list[str] | None = None) -> int:
         "what",
         nargs="?",
         default="all",
-        choices=["table1", "table2", "table3", "table4", "breakdown", "all"],
+        choices=[
+            "table1",
+            "table2",
+            "table3",
+            "table4",
+            "breakdown",
+            "all",
+            "ablations",
+            "extensions",
+        ],
+        help="which table or experiment to regenerate (default: all)",
     )
-    tables_parser.add_argument("--scale", default="small", choices=["small", "full"])
+    tables_parser.add_argument(
+        "--scale",
+        default="small",
+        choices=["small", "full"],
+        help="input scale: 'small' is quick, 'full' mirrors Table 1's run counts",
+    )
+    tables_parser.add_argument(
+        "--benchmarks",
+        nargs="*",
+        default=None,
+        help="restrict to named benchmarks (table modes)",
+    )
     tables_parser.add_argument(
         "--jobs",
         type=jobs_argument,
         default=1,
         metavar="N",
-        help="run benchmarks on N workers (deterministic order; must be"
-        " >= 1, 1 = serial)",
-    )
-    tables_parser.add_argument(
-        "--executor",
-        default="thread",
-        choices=["thread", "process"],
-        help="worker pool for --jobs: 'thread' starts instantly and"
-        " shares the in-memory cache but CPU-bound work serializes on"
-        " the GIL; 'process' runs compile/profile/inline work truly in"
-        " parallel (output stays byte-identical) at the cost of"
-        " per-worker startup and artifact pickling",
+        help="run benchmarks on N worker processes (output stays"
+        " byte-identical; must be >= 1, 1 = serial)",
     )
     tables_parser.add_argument(
         "--cache-dir",
@@ -655,7 +623,7 @@ def main(argv: list[str] | None = None) -> int:
         "--passes",
         default=None,
         metavar="SPEC",
-        help="pre-optimization pass spec (see repro.pipeline)",
+        help="pre-optimization pass spec, e.g. 'fold,copyprop,cse,jumpopt,dce'",
     )
     tables_parser.add_argument(
         "--check",
@@ -688,14 +656,7 @@ def main(argv: list[str] | None = None) -> int:
         type=jobs_argument,
         default=1,
         metavar="N",
-        help="worker count (>= 1; see tables --help for the"
-        " thread-vs-process tradeoff)",
-    )
-    bench_parser.add_argument(
-        "--executor",
-        default="thread",
-        choices=["thread", "process"],
-        help="worker pool backend for --jobs",
+        help="worker process count (>= 1, 1 = serial)",
     )
     bench_parser.add_argument(
         "--cache-dir",
@@ -761,144 +722,6 @@ def main(argv: list[str] | None = None) -> int:
     _add_engine_flag(check_parser)
     _add_obs_flags(check_parser)
     check_parser.set_defaults(func=_cmd_check)
-
-    serve_parser = sub.add_parser(
-        "serve",
-        help="run the compilation service on a local Unix socket",
-    )
-    serve_parser.add_argument(
-        "--socket",
-        default=".repro-service.sock",
-        metavar="PATH",
-        help="Unix socket path (default: .repro-service.sock)",
-    )
-    serve_parser.add_argument(
-        "--jobs",
-        type=jobs_argument,
-        default=1,
-        metavar="N",
-        help="worker pool size (>= 1)",
-    )
-    serve_parser.add_argument(
-        "--executor",
-        default="thread",
-        choices=["thread", "process"],
-        help="worker pool backend: 'thread' shares one in-memory cache"
-        " but serializes CPU work on the GIL; 'process' compiles truly"
-        " in parallel, sharing the cache through its on-disk store",
-    )
-    serve_parser.add_argument(
-        "--cache-dir",
-        nargs="?",
-        const=".repro-cache",
-        default=None,
-        metavar="DIR",
-        help="content-addressed compile/profile cache shared by all"
-        " workers (default DIR: .repro-cache)",
-    )
-    serve_parser.add_argument(
-        "--max-batch",
-        type=int,
-        default=16,
-        metavar="N",
-        help="max requests dispatched to the pool in one wave",
-    )
-    serve_parser.add_argument(
-        "--slow-log",
-        default=None,
-        metavar="FILE",
-        help="append a JSONL record (trace_id, op, duration, cache"
-        " outcome) for every request slower than --slow-threshold and"
-        " for every failed request",
-    )
-    serve_parser.add_argument(
-        "--slow-threshold",
-        type=float,
-        default=1.0,
-        metavar="SECONDS",
-        help="slow-request threshold for --slow-log (default: 1.0)",
-    )
-    serve_parser.add_argument(
-        "--prom-out",
-        default=None,
-        metavar="FILE",
-        help="keep a Prometheus text exposition file fresh (rewritten"
-        " atomically every --prom-interval seconds; same format as the"
-        " 'metrics' admin op)",
-    )
-    serve_parser.add_argument(
-        "--prom-interval",
-        type=float,
-        default=5.0,
-        metavar="SECONDS",
-        help="refresh period for --prom-out (default: 5.0)",
-    )
-    _add_engine_flag(serve_parser)
-    _add_obs_flags(serve_parser)
-    serve_parser.set_defaults(func=_cmd_serve)
-
-    call_parser = sub.add_parser(
-        "call", help="send one request to a running service"
-    )
-    call_parser.add_argument(
-        "op",
-        choices=[
-            "compile",
-            "profile",
-            "inline",
-            "check",
-            "ping",
-            "health",
-            "stats",
-            "metrics",
-            "shutdown",
-        ],
-    )
-    call_parser.add_argument("file", nargs="?", default=None)
-    call_parser.add_argument(
-        "--socket",
-        default=".repro-service.sock",
-        metavar="PATH",
-    )
-    call_parser.add_argument("--stdin", default="")
-    call_parser.add_argument("--arg", action="append")
-    call_parser.add_argument("--passes", default=None, metavar="SPEC")
-    call_parser.add_argument("--threshold", type=float, default=10.0)
-    call_parser.add_argument("--growth", type=float, default=1.25)
-    call_parser.add_argument("--dump", action="store_true")
-    _add_engine_flag(call_parser)
-    call_parser.set_defaults(func=_cmd_call)
-
-    top_parser = sub.add_parser(
-        "top",
-        help="live dashboard (throughput, latency percentiles, queue"
-        " depth, cache rates) over a running service",
-    )
-    top_parser.add_argument(
-        "--socket",
-        default=".repro-service.sock",
-        metavar="PATH",
-    )
-    top_parser.add_argument(
-        "--interval",
-        type=float,
-        default=2.0,
-        metavar="SECONDS",
-        help="polling/refresh period (default: 2.0)",
-    )
-    top_parser.add_argument(
-        "--count",
-        type=int,
-        default=0,
-        metavar="N",
-        help="render N frames then exit (default 0: until Ctrl-C)",
-    )
-    top_parser.add_argument(
-        "--no-clear",
-        action="store_true",
-        help="append frames instead of clearing the screen",
-    )
-    top_parser.set_defaults(func=_cmd_top)
 
     report_parser = sub.add_parser(
         "report",

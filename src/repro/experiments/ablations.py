@@ -8,8 +8,7 @@ D — linearization order (paper's weight heuristic vs. hybrid).
 Every sweep fans out over the suite via
 :func:`~repro.pipeline.parallel.parallel_map`; the measurement tasks
 are module-level functions parameterized with :func:`functools.partial`
-so they run unchanged on either the thread or the process executor
-(``executor="process"`` requires picklable tasks).
+so they pickle onto the process pool ``jobs > 1`` uses.
 """
 
 from __future__ import annotations
@@ -53,26 +52,19 @@ def _prepare_task(name, _obs, *, scale, engine="counting"):
     return _prepare(benchmark_by_name(name), scale, engine)
 
 
-def _prepare_suite(scale, jobs=1, executor="thread", engine="counting"):
+def _prepare_suite(scale, jobs=1, engine="counting"):
     """Compile+pre-optimize+profile every benchmark (optionally parallel)."""
     return parallel_map(
         functools.partial(_prepare_task, scale=scale, engine=engine),
         benchmark_names(),
         jobs,
         worker_label="ablation-prepare",
-        executor=executor,
     )
 
 
-def _measure_all(prepared, one, jobs=1, executor="thread"):
+def _measure_all(prepared, one, jobs=1):
     """Apply ``one(module, specs, profile)`` to every prepared benchmark."""
-    return parallel_map(
-        one,
-        prepared,
-        jobs,
-        worker_label="ablation-measure",
-        executor=executor,
-    )
+    return parallel_map(one, prepared, jobs, worker_label="ablation-measure")
 
 
 def _measure(
@@ -111,19 +103,18 @@ def threshold_sweep(
     scale: str = "small",
     thresholds: tuple[float, ...] = (1, 10, 100, 1000),
     jobs: int = 1,
-    executor: str = "thread",
     engine: str = "counting",
 ) -> list[AblationPoint]:
     """Ablation A: sweep the arc-weight threshold T."""
     points = []
-    prepared = _prepare_suite(scale, jobs, executor, engine)
+    prepared = _prepare_suite(scale, jobs, engine)
     for threshold in thresholds:
         one = functools.partial(
             _expander_task,
             params=InlineParameters(weight_threshold=threshold),
             engine=engine,
         )
-        pairs = _measure_all(prepared, one, jobs, executor)
+        pairs = _measure_all(prepared, one, jobs)
         points.append(_mean_point(f"T={threshold:g}", pairs))
     return points
 
@@ -132,19 +123,18 @@ def growth_limit_sweep(
     scale: str = "small",
     factors: tuple[float, ...] = (1.0, 1.1, 1.25, 1.5, 2.0),
     jobs: int = 1,
-    executor: str = "thread",
     engine: str = "counting",
 ) -> list[AblationPoint]:
     """Ablation C: sweep the program-size cap."""
     points = []
-    prepared = _prepare_suite(scale, jobs, executor, engine)
+    prepared = _prepare_suite(scale, jobs, engine)
     for factor in factors:
         one = functools.partial(
             _expander_task,
             params=InlineParameters(size_limit_factor=factor),
             engine=engine,
         )
-        pairs = _measure_all(prepared, one, jobs, executor)
+        pairs = _measure_all(prepared, one, jobs)
         points.append(_mean_point(f"limit={factor:g}x", pairs))
     return points
 
@@ -152,17 +142,16 @@ def growth_limit_sweep(
 def linearization_comparison(
     scale: str = "small",
     jobs: int = 1,
-    executor: str = "thread",
     engine: str = "counting",
 ) -> list[AblationPoint]:
     """Ablation D: the paper's pure-weight order vs. the hybrid order."""
     points = []
-    prepared = _prepare_suite(scale, jobs, executor, engine)
+    prepared = _prepare_suite(scale, jobs, engine)
     for method in ("weight", "hybrid"):
         one = functools.partial(
             _expander_task, linearize_method=method, engine=engine
         )
-        pairs = _measure_all(prepared, one, jobs, executor)
+        pairs = _measure_all(prepared, one, jobs)
         points.append(_mean_point(method, pairs))
     return points
 
@@ -203,15 +192,14 @@ _BASELINES = (
 def baseline_comparison(
     scale: str = "small",
     jobs: int = 1,
-    executor: str = "thread",
     engine: str = "counting",
 ) -> list[AblationPoint]:
     """Ablation B: profile-guided vs. static heuristics, same size cap."""
     points = []
-    prepared = _prepare_suite(scale, jobs, executor, engine)
+    prepared = _prepare_suite(scale, jobs, engine)
     for label, _heuristic in _BASELINES:
         one = functools.partial(_baseline_task, label=label, engine=engine)
-        pairs = _measure_all(prepared, one, jobs, executor)
+        pairs = _measure_all(prepared, one, jobs)
         points.append(_mean_point(label, pairs))
     return points
 

@@ -35,7 +35,7 @@ from repro.inliner.manager import InlineExpander, InlineResult
 from repro.inliner.params import InlineParameters
 from repro.observability import Observability, enable_console_logging, resolve
 from repro.opt import optimize_module
-from repro.pipeline.parallel import parallel_map, validate_executor, validate_jobs
+from repro.pipeline.parallel import parallel_map, validate_jobs
 from repro.pipeline.session import CompilationSession
 from repro.profiler.profile import ProfileData, RunSpec, profile_module, run_once
 from repro.callgraph.build import build_call_graph
@@ -154,18 +154,7 @@ def run_benchmark(
     obs = resolve(obs)
     tracer = obs.tracer
     runs_before = obs.metrics.counters.get("vm.runs", 0)
-    # Mint a per-benchmark trace id (unless the caller already bound
-    # one, e.g. a service request): every span/event/decision this run
-    # emits then carries it, so one grep isolates one benchmark even in
-    # an interleaved parallel trace.
-    scoped: dict = {}
-    if tracer.enabled and "trace_id" not in tracer.bound_context():
-        from repro.observability.context import new_trace_id
-
-        scoped["trace_id"] = new_trace_id()
-    with tracer.context(**scoped), tracer.span(
-        "benchmark", name=benchmark.name, scale=scale
-    ) as attrs:
+    with tracer.span("benchmark", name=benchmark.name, scale=scale) as attrs:
         if session is not None:
             with tracer.span("benchmark.compile", name=benchmark.name):
                 module = session.compile_benchmark(
@@ -394,8 +383,8 @@ def _benchmark_task(
     """One suite item, addressed by benchmark name so it pickles.
 
     Process workers re-open the shared disk cache from ``session_spec``;
-    thread workers and the serial path pass the live session directly
-    and never reach this function.
+    the serial path passes the live session directly and never reaches
+    this function.
     """
     _LOG.info("[%s] running ...", name)
     return run_benchmark(
@@ -424,24 +413,19 @@ def run_suite(
     session: CompilationSession | None = None,
     pass_spec: str | None = None,
     check: bool = False,
-    executor: str = "thread",
     engine: str = "counting",
 ) -> list[BenchmarkResult]:
     """Run the pipeline for every benchmark (or a named subset).
 
     ``names`` must all be known benchmark names; unknown names raise
     :class:`ValueError` rather than being silently skipped. With
-    ``jobs > 1`` the benchmarks run on a worker pool — results keep
+    ``jobs > 1`` the benchmarks run on a process pool — results keep
     suite order and per-worker trace/metric records are merged into the
     parent ``obs`` — while ``jobs=1`` is the plain serial loop,
-    byte-identical to the historical behavior. ``executor`` selects the
-    pool: ``"thread"`` shares the live ``session`` in memory but
-    serializes CPU work on the GIL; ``"process"`` gives true CPU
-    parallelism — workers share the session's *disk* store (each
-    process re-opens it from :meth:`CompilationSession.spec`) and
-    return their results and telemetry by pickling. A shared
-    ``session`` serves compiles and profiles from its
-    content-addressed cache either way.
+    byte-identical to the historical behavior. Workers share the
+    session's *disk* store (each process re-opens it from
+    :meth:`CompilationSession.spec`) and return their results and
+    telemetry by pickling; the serial loop uses the live ``session``.
 
     Progress goes through the ``repro.experiments`` logger; with
     ``progress=True`` a stderr handler is attached (once) so the
@@ -449,7 +433,6 @@ def run_suite(
     or silence the ``repro`` logger themselves.
     """
     validate_jobs(jobs)
-    validate_executor(executor)
     if progress:
         enable_console_logging()
     obs = resolve(obs)
@@ -485,45 +468,26 @@ def run_suite(
                     )
                 )
         else:
-            if executor == "process":
-                # Ship the session as its picklable spec; the live
-                # object holds locks and caches that cannot cross the
-                # process boundary.
-                task = functools.partial(
-                    _benchmark_task,
-                    scale=scale,
-                    params=params,
-                    pre_optimize=pre_optimize,
-                    check_outputs=check_outputs,
-                    session_spec=session.spec() if session else None,
-                    pass_spec=pass_spec,
-                    check=check,
-                    engine=engine,
-                )
-            else:
-
-                def task(name: str, child_obs) -> BenchmarkResult:
-                    _LOG.info("[%s] running ...", name)
-                    return run_benchmark(
-                        benchmark_by_name(name),
-                        scale,
-                        params,
-                        pre_optimize,
-                        check_outputs,
-                        obs=child_obs,
-                        session=session,
-                        pass_spec=pass_spec,
-                        check=check,
-                        engine=engine,
-                    )
-
+            # Ship the session as its picklable spec; the live object
+            # holds locks and caches that cannot cross the process
+            # boundary.
+            task = functools.partial(
+                _benchmark_task,
+                scale=scale,
+                params=params,
+                pre_optimize=pre_optimize,
+                check_outputs=check_outputs,
+                session_spec=session.spec() if session else None,
+                pass_spec=pass_spec,
+                check=check,
+                engine=engine,
+            )
             results = parallel_map(
                 task,
                 [benchmark.name for benchmark in selected],
                 jobs,
                 obs=obs,
                 worker_label="suite",
-                executor=executor,
             )
         attrs["benchmarks"] = len(results)
     return results

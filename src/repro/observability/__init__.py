@@ -37,17 +37,10 @@ from repro.observability.bench import (
     load_record,
     record_from_results,
 )
-from repro.observability.context import (
-    TraceContext,
-    new_request_id,
-    new_trace_id,
-)
 from repro.observability.metrics import (
     DEFAULT_MAX_SAMPLES,
     MetricsRegistry,
     NullMetrics,
-    labeled,
-    split_labels,
 )
 from repro.observability.tracer import NullTracer, Tracer
 
@@ -119,12 +112,8 @@ __all__ = [
     "InlineDecision",
     "MetricDelta",
     "MetricsRegistry",
-    "TraceContext",
     "compare",
-    "labeled",
     "load_record",
-    "new_request_id",
-    "new_trace_id",
     "record_from_results",
     "NULL_OBS",
     "NullMetrics",
@@ -134,6 +123,5 @@ __all__ = [
     "enable_console_logging",
     "get_logger",
     "resolve",
-    "split_labels",
     "summarize_decisions",
 ]

@@ -244,7 +244,6 @@ class BenchRecorder:
         scale: str = "small",
         names: list[str] | None = None,
         jobs: int = 1,
-        executor: str = "thread",
         pass_spec: str | None = None,
         params=None,
         cache_dir: str | None = None,
@@ -254,7 +253,6 @@ class BenchRecorder:
         self.scale = scale
         self.names = names
         self.jobs = jobs
-        self.executor = executor
         self.pass_spec = pass_spec
         self.params = params
         self.cache_dir = cache_dir
@@ -269,7 +267,6 @@ class BenchRecorder:
             "scale": self.scale,
             "benchmarks": self.names,
             "jobs": self.jobs,
-            "executor": self.executor,
             "pass_spec": self.pass_spec,
             "engine": self.engine,
             "threshold": params.weight_threshold,
@@ -302,7 +299,6 @@ class BenchRecorder:
             jobs=self.jobs,
             session=session,
             pass_spec=self.pass_spec,
-            executor=self.executor,
             engine=self.engine,
         )
         wall = time.perf_counter() - start

@@ -6,13 +6,6 @@ tracer was created), and its duration. Events attach to the innermost
 open span. :meth:`Tracer.to_jsonl` / :meth:`Tracer.write` serialize the
 whole trace, one JSON object per line.
 
-A tracer can carry a **bound context** — a small dict of correlation
-attributes (typically ``trace_id``/``request_id``, see
-:mod:`repro.observability.context`) stamped onto every record it emits.
-``bind`` sets it persistently, ``context`` scopes it to a ``with``
-block, and ``absorb`` forwards the parent's bound context onto absorbed
-child records (without overwriting ids the child stamped itself).
-
 :class:`NullTracer` is the zero-overhead default: ``span`` yields an
 attribute sink without touching the clock, and ``event``/``record``
 discard their input.
@@ -42,7 +35,6 @@ class Tracer:
         ]
         self._stack: list[int] = []
         self._next_id = 1
-        self._context: dict = {}
 
     # ------------------------------------------------------------------
 
@@ -55,28 +47,6 @@ class Tracer:
         return getattr(self, "_unix_start", None)
 
     # ------------------------------------------------------------------
-    # bound context: correlation attrs stamped onto every record
-
-    def bind(self, **attrs) -> None:
-        """Persistently stamp ``attrs`` onto every record emitted from
-        now on (e.g. ``trace_id=...``); ``None`` values are ignored."""
-        self._context.update(
-            {key: value for key, value in attrs.items() if value is not None}
-        )
-
-    def bound_context(self) -> dict:
-        """The currently bound correlation attributes (a copy)."""
-        return dict(self._context)
-
-    @contextmanager
-    def context(self, **attrs):
-        """Scope extra bound attributes to a ``with`` block."""
-        saved = dict(self._context)
-        self.bind(**attrs)
-        try:
-            yield
-        finally:
-            self._context = saved
 
     @contextmanager
     def span(self, name: str, /, **attrs):
@@ -125,8 +95,6 @@ class Tracer:
         self._emit(record)
 
     def _emit(self, record: dict) -> None:
-        for key, value in self._context.items():
-            record.setdefault(key, value)
         self._records.append(record)
         if _LOG.isEnabledFor(logging.DEBUG):
             _LOG.debug("%s", json.dumps(record, sort_keys=True, default=str))
@@ -139,8 +107,7 @@ class Tracer:
         ids are renumbered past this tracer's id space; top-level child
         spans are re-parented under the currently open span (if any);
         ``attrs`` (e.g. ``worker="suite-3"``) are stamped onto every
-        absorbed record, and this tracer's bound context is forwarded
-        (without overwriting attributes the child stamped itself).
+        absorbed record.
 
         Child timestamps are recorded as offsets from the *child's* own
         start; they are rebased onto this tracer's timeline using the
@@ -177,8 +144,6 @@ class Tracer:
                 if isinstance(record.get("t"), (int, float)):
                     record["t"] = round(record["t"] + rebase, 6)
             record.update(attrs)
-            for key, value in self._context.items():
-                record.setdefault(key, value)
             self._records.append(record)
         self._next_id = max(self._next_id, highest + 1)
 
@@ -206,21 +171,10 @@ class NullTracer(Tracer):
 
     def __init__(self):  # no clock, no origin record
         self._records = []
-        self._context = {}
 
     @contextmanager
     def span(self, name: str, /, **attrs):
         yield attrs
-
-    def bind(self, **attrs) -> None:
-        pass
-
-    def bound_context(self) -> dict:
-        return {}
-
-    @contextmanager
-    def context(self, **attrs):
-        yield
 
     def event(self, name: str, /, **attrs) -> None:
         pass

@@ -12,7 +12,7 @@ reproduction:
 - :mod:`repro.pipeline.session` — the :class:`CompilationSession`
   content-addressed artifact cache (compiled modules, profiles) with an
   optional on-disk store;
-- :mod:`repro.pipeline.parallel` — deterministic thread-pool fan-out
+- :mod:`repro.pipeline.parallel` — deterministic process-pool fan-out
   with per-worker observability merging.
 """
 

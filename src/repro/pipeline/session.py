@@ -14,7 +14,7 @@ experiment pipeline:
 
 An optional on-disk store (``.repro-cache/`` by convention) makes the
 cache survive across processes — and is **shared between concurrent
-processes** (the process-pool executor, service workers). The store is
+processes** (the worker processes of ``parallel_map``). The store is
 versioned under ``v<FORMAT>/``, sharded as
 ``v<FORMAT>/<kind>/<first-two-hex-chars>/<key>.pkl`` so no single
 directory grows unbounded, and process-safe by construction:
@@ -210,8 +210,8 @@ class CompilationSession:
     # spec: the picklable recipe for an equivalent session
     #
     # A live session is not picklable (locks, live caches), so parallel
-    # process workers and service workers receive a spec instead and
-    # open their own session over the same shared disk store.
+    # worker processes receive a spec instead and open their own
+    # session over the same shared disk store.
 
     def spec(self) -> dict:
         """A picklable description re-creating an equivalent session."""
@@ -232,17 +232,7 @@ class CompilationSession:
     # generic keyed store
 
     def _count(self, obs: Observability, what: str) -> None:
-        if obs.metrics.enabled:
-            obs.metrics.inc(f"pipeline.cache.{what}")
-            if what in ("hits", "misses"):
-                # Keep a live hit-rate gauge alongside the raw counters
-                # so scrapers (the service `metrics` op, `--prom-out`)
-                # get a ready-made ratio without post-processing.
-                hits = obs.metrics.counters.get("pipeline.cache.hits", 0)
-                misses = obs.metrics.counters.get("pipeline.cache.misses", 0)
-                total = hits + misses
-                if total:
-                    obs.metrics.gauge("pipeline.cache.hit_rate", hits / total)
+        obs.metrics.inc(f"pipeline.cache.{what}")
 
     def _lookup(self, table: OrderedDict, kind: str, key: str, obs) -> Any:
         with self._lock:

@@ -278,19 +278,17 @@ class TestBenchCli:
         assert out_path.read_text().startswith("<!doctype html>")
         capsys.readouterr()
 
-    def test_experiments_bench_out(self, tmp_path, capsys):
-        from repro.experiments.__main__ import main as experiments_main
-
-        out = tmp_path / "BENCH_exp.json"
-        code = experiments_main(
+    def test_bench_jobs_flag_writes_record(self, tmp_path, capsys):
+        out = tmp_path / "BENCH_jobs.json"
+        code = cli_main(
             [
-                "table4",
+                "bench",
                 "--benchmarks",
                 "wc",
                 "tee",
                 "--jobs",
                 "2",
-                "--bench-out",
+                "-o",
                 str(out),
             ]
         )
@@ -298,5 +296,6 @@ class TestBenchCli:
         capsys.readouterr()
         record = load_record(str(out))
         assert record.config["jobs"] == 2
+        assert "executor" not in record.config
         assert set(record.benchmarks) == {"wc", "tee"}
         assert compare(record, record).ok()

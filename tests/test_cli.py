@@ -1,11 +1,13 @@
 """Tests for the impact-inline CLI and the experiments __main__."""
 
 import os
+import subprocess
+import sys
 
 import pytest
 
+import repro
 from repro.cli import main as cli_main
-from repro.experiments.__main__ import main as experiments_main
 
 PROGRAM = """
 #include <sys.h>
@@ -79,17 +81,32 @@ class TestInlineCommand:
 
 class TestTablesCommand:
     def test_single_benchmark_table(self, capsys):
-        code = experiments_main(["table1", "--benchmarks", "tee"])
+        code = cli_main(["tables", "table1", "--benchmarks", "tee"])
         out = capsys.readouterr().out
         assert code == 0
         assert "Table 1" in out
         assert "tee" in out
 
     def test_table4_subset(self, capsys):
-        code = experiments_main(["table4", "--benchmarks", "wc", "tee"])
+        code = cli_main(["tables", "table4", "--benchmarks", "wc", "tee"])
         out = capsys.readouterr().out
         assert code == 0
         assert "code inc" in out
+
+    @pytest.mark.parametrize("extra", [[], ["--jobs", "2"]])
+    def test_experiments_module_is_the_tables_command(self, extra, capsys):
+        argv = ["table4", "--benchmarks", "wc", "cmp", "tee", *extra]
+        assert cli_main(["tables", *argv]) == 0
+        out = capsys.readouterr().out
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        shim = subprocess.run(
+            [sys.executable, "-m", "repro.experiments", *argv],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": src},
+            check=True,
+        )
+        assert shim.stdout == out
 
 
 class TestGraphCommand:
@@ -134,7 +151,7 @@ class TestSummaryFlag:
         assert "metrics:" not in captured.out
 
     def test_tables_summary_on_stderr(self, capsys):
-        code = experiments_main(["table4", "--benchmarks", "wc", "--summary"])
+        code = cli_main(["tables", "table4", "--benchmarks", "wc", "--summary"])
         captured = capsys.readouterr()
         assert code == 0
         assert "Table 4" in captured.out
@@ -149,62 +166,8 @@ class TestJobsValidation:
         assert excinfo.value.code == 2
         assert "--jobs" in capsys.readouterr().err
 
-    def test_serve_rejects_zero_jobs(self, capsys):
-        with pytest.raises(SystemExit) as excinfo:
-            cli_main(["serve", "--jobs", "0"])
-        assert excinfo.value.code == 2
-
-    def test_tables_rejects_unknown_executor(self, capsys):
-        with pytest.raises(SystemExit):
-            cli_main(["tables", "--executor", "fiber"])
-        assert "invalid choice" in capsys.readouterr().err
-
-    def test_jobs_help_documents_the_tradeoff(self, capsys):
+    def test_jobs_help_names_worker_processes(self, capsys):
         with pytest.raises(SystemExit):
             cli_main(["tables", "--help"])
         text = capsys.readouterr().out
-        assert "GIL" in text
-        assert "process" in text
-
-
-class TestServeAndCall:
-    def test_cli_round_trip(self, c_file, tmp_path, capsys):
-        import json
-        import threading
-        import time
-
-        socket_path = str(tmp_path / "cli.sock")
-        server = threading.Thread(
-            target=cli_main, args=(["serve", "--socket", socket_path],),
-            daemon=True,
-        )
-        server.start()
-        deadline = time.time() + 30
-        while not os.path.exists(socket_path):
-            assert time.time() < deadline, "server socket never appeared"
-            time.sleep(0.05)
-        try:
-            code = cli_main(["call", "ping", "--socket", socket_path])
-            assert code == 0
-            assert json.loads(capsys.readouterr().out)["result"] == "pong"
-
-            code = cli_main(
-                ["call", "inline", c_file, "--socket", socket_path,
-                 "--threshold", "1.0"]
-            )
-            assert code == 0
-            envelope = json.loads(capsys.readouterr().out)
-            assert envelope["ok"] is True
-            assert envelope["result"]["expanded"] >= 1
-        finally:
-            cli_main(["call", "shutdown", "--socket", socket_path])
-            capsys.readouterr()
-            server.join(timeout=30)
-        assert not server.is_alive()
-
-    def test_call_without_file_errors(self, tmp_path, capsys):
-        code = cli_main(
-            ["call", "compile", "--socket", str(tmp_path / "none.sock")]
-        )
-        assert code == 2
-        assert "requires a FILE.c" in capsys.readouterr().err
+        assert "worker processes" in text

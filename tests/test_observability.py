@@ -23,24 +23,11 @@ from repro.observability import (
     NullMetrics,
     NullTracer,
     Observability,
-    TraceContext,
     Tracer,
-    labeled,
     resolve,
-    split_labels,
     summarize_decisions,
 )
-from repro.observability.context import new_trace_id, valid_id
-from repro.observability.export import (
-    PROMETHEUS_CONTENT_TYPE,
-    SLOW_LOG_SCHEMA_VERSION,
-    append_jsonl,
-    parse_prometheus,
-    prometheus_name,
-    render_metrics_summary,
-    render_prometheus,
-    slow_request_record,
-)
+from repro.observability.export import render_metrics_summary
 from repro.observability.metrics import percentile
 from repro.profiler.profile import RunSpec, profile_module
 from repro.workloads import benchmark_by_name
@@ -457,12 +444,13 @@ int main(void) {
         assert any(r["type"] == "span" for r in records)
 
     def test_tables_trace_flag(self, tmp_path, capsys):
-        from repro.experiments.__main__ import main as experiments_main
+        from repro.cli import main as cli_main
 
         trace = tmp_path / "trace.jsonl"
         metrics = tmp_path / "metrics.json"
-        code = experiments_main(
+        code = cli_main(
             [
+                "tables",
                 "table4",
                 "--benchmarks",
                 "tee",
@@ -544,83 +532,6 @@ class TestObservabilityAbsorb:
         assert NULL_OBS.tracer.records == []
 
 
-class TestTraceContext:
-    def test_mint_is_unique_hex(self):
-        a, b = TraceContext.mint(), TraceContext.mint()
-        assert a.trace_id != b.trace_id
-        assert valid_id(a.trace_id) and valid_id(a.request_id)
-
-    def test_wire_round_trip(self):
-        context = TraceContext.mint()
-        assert TraceContext.from_wire(context.to_wire()) == context
-
-    def test_from_wire_rejects_garbage(self):
-        assert TraceContext.from_wire(None) is None
-        assert TraceContext.from_wire("deadbeef") is None
-        assert TraceContext.from_wire({}) is None
-        assert TraceContext.from_wire({"trace_id": "not hex!"}) is None
-        assert TraceContext.from_wire({"trace_id": "ab"}) is None  # too short
-
-    def test_from_wire_remints_bad_request_id(self):
-        context = TraceContext.from_wire({"trace_id": "deadbeef01", "request_id": "!"})
-        assert context.trace_id == "deadbeef01"
-        assert valid_id(context.request_id)
-
-
-class TestTracerBoundContext:
-    def test_bind_stamps_every_record(self):
-        tracer = Tracer()
-        tracer.bind(trace_id="abc123")
-        with tracer.span("work"):
-            tracer.event("tick")
-        tracer.record({"type": "custom"})
-        stamped = [r for r in tracer.records if r["type"] != "trace_start"]
-        assert stamped and all(r["trace_id"] == "abc123" for r in stamped)
-
-    def test_context_manager_is_scoped(self):
-        tracer = Tracer()
-        with tracer.context(trace_id="inner"):
-            tracer.event("a")
-        tracer.event("b")
-        events = {r["name"]: r for r in tracer.records if r["type"] == "event"}
-        assert events["a"]["trace_id"] == "inner"
-        assert "trace_id" not in events["b"]
-
-    def test_bind_ignores_none_values(self):
-        tracer = Tracer()
-        tracer.bind(trace_id=None)
-        assert tracer.bound_context() == {}
-
-    def test_explicit_attr_wins_over_bound_context(self):
-        tracer = Tracer()
-        tracer.bind(trace_id="bound")
-        tracer.event("e", trace_id="explicit")
-        event = next(r for r in tracer.records if r["type"] == "event")
-        # The event's own attrs dict keeps the explicit value; the
-        # top-level stamp comes from the bound context only when absent.
-        assert event["attrs"]["trace_id"] == "explicit"
-
-    def test_absorb_forwards_parent_context_without_overwriting(self):
-        parent, child = Tracer(), Tracer()
-        parent.bind(trace_id="parent-trace", run="r1")
-        child.bind(trace_id="child-trace")
-        with child.span("w"):
-            pass
-        parent.absorb(child, worker="w-0")
-        span = next(r for r in parent.records if r["type"] == "span")
-        assert span["trace_id"] == "child-trace"  # child's own stamp kept
-        assert span["run"] == "r1"  # parent context forwarded
-        assert span["worker"] == "w-0"
-
-    def test_null_tracer_context_is_noop(self):
-        tracer = NullTracer()
-        tracer.bind(trace_id="x")
-        with tracer.context(trace_id="y"):
-            tracer.event("e")
-        assert tracer.bound_context() == {}
-        assert tracer.records == []
-
-
 class TestAbsorbTimestampRebase:
     def test_child_timestamps_rebased_to_parent_timeline(self):
         parent, child = Tracer(), Tracer()
@@ -667,163 +578,23 @@ class TestPercentileEdgeCases:
 
     def test_default_reservoir_bound_documented_value(self):
         assert DEFAULT_MAX_SAMPLES == 4096
-        assert MetricsRegistry().max_samples == 4096
 
-    def test_reservoir_bound_is_a_constructor_knob(self):
-        metrics = MetricsRegistry(max_samples=4)
-        for value in range(100):
+    def test_reservoir_stops_at_the_constant_bound(self):
+        metrics = MetricsRegistry()
+        for value in range(DEFAULT_MAX_SAMPLES + 100):
             metrics.observe("s", float(value))
         stats = metrics.histogram("s")
-        assert stats["count"] == 100  # the summary stays exact
-        assert metrics._samples["s"] == [0.0, 1.0, 2.0, 3.0]
+        assert stats["count"] == DEFAULT_MAX_SAMPLES + 100  # summary exact
+        assert metrics._samples["s"] == [
+            float(value) for value in range(DEFAULT_MAX_SAMPLES)
+        ]
 
-    def test_merge_respects_receiver_bound(self):
-        small, big = MetricsRegistry(max_samples=2), MetricsRegistry()
+    def test_merge_keeps_the_constant_bound(self):
+        full, other = MetricsRegistry(), MetricsRegistry()
+        for value in range(DEFAULT_MAX_SAMPLES - 2):
+            full.observe("s", float(value))
         for value in range(10):
-            big.observe("s", float(value))
-        small.merge(big)
-        assert len(small._samples["s"]) == 2
-        assert small.histogram("s")["count"] == 10
-
-
-class TestLabeledMetricNames:
-    def test_labeled_sorts_keys(self):
-        assert labeled("m", b="2", a="1") == "m{a=1,b=2}"
-
-    def test_labeled_without_labels_is_identity(self):
-        assert labeled("m") == "m"
-
-    def test_split_round_trip(self):
-        name = labeled("service.op_seconds", op="inline")
-        assert split_labels(name) == ("service.op_seconds", {"op": "inline"})
-
-    def test_split_plain_name(self):
-        assert split_labels("service.requests") == ("service.requests", {})
-
-    def test_labeled_escapes_reserved_characters(self):
-        name = labeled("m", k='a{b}"c,d=e')
-        base, labels = split_labels(name)
-        assert base == "m"
-        assert "=" not in labels["k"][1:]
-
-    def test_labeled_series_are_independent(self):
-        metrics = MetricsRegistry()
-        metrics.inc(labeled("errors", op="a"))
-        metrics.inc(labeled("errors", op="b"), 2)
-        assert metrics.counters["errors{op=a}"] == 1
-        assert metrics.counters["errors{op=b}"] == 2
-
-
-class TestPrometheusExposition:
-    def _registry(self):
-        metrics = MetricsRegistry()
-        metrics.inc("service.requests", 5)
-        metrics.inc(labeled("service.errors", op="inline"), 2)
-        metrics.gauge("service.queue_depth", 3)
-        for value in range(1, 11):
-            metrics.observe(labeled("service.op_seconds", op="wc"), value / 10)
-        return metrics
-
-    def test_render_has_help_and_type_lines(self):
-        text = render_prometheus(self._registry())
-        assert "# HELP repro_service_requests_total" in text
-        assert "# TYPE repro_service_requests_total counter" in text
-        assert "# TYPE repro_service_queue_depth gauge" in text
-        assert "# TYPE repro_service_op_seconds summary" in text
-
-    def test_counter_gets_total_suffix_and_labels(self):
-        text = render_prometheus(self._registry())
-        assert 'repro_service_errors_total{op="inline"} 2' in text
-        assert "repro_service_requests_total 5" in text
-
-    def test_summary_exposes_quantiles_sum_count(self):
-        text = render_prometheus(self._registry())
-        assert 'repro_service_op_seconds{op="wc",quantile="0.5"}' in text
-        assert 'repro_service_op_seconds{op="wc",quantile="0.99"}' in text
-        assert 'repro_service_op_seconds_sum{op="wc"}' in text
-        assert 'repro_service_op_seconds_count{op="wc"} 10' in text
-
-    def test_round_trip_parse(self):
-        families = parse_prometheus(render_prometheus(self._registry()))
-        assert families["repro_service_requests_total"]["type"] == "counter"
-        assert families["repro_service_queue_depth"]["type"] == "gauge"
-        summary = families["repro_service_op_seconds"]
-        assert summary["type"] == "summary"
-        assert summary["samples"]['repro_service_op_seconds_count{op="wc"}'] == 10.0
-        assert 'repro_service_op_seconds{op="wc",quantile="0.9"}' in summary["samples"]
-
-    def test_output_is_deterministic(self):
-        assert render_prometheus(self._registry()) == render_prometheus(
-            self._registry()
-        )
-
-    def test_metric_name_sanitization(self):
-        assert prometheus_name("service.op-seconds") == (
-            "repro_service_op_seconds"
-        )
-        assert prometheus_name("9lives") == "repro_9lives"
-
-    def test_empty_registry_renders_empty(self):
-        assert render_prometheus(MetricsRegistry()) == ""
-
-    def test_content_type_is_text_v004(self):
-        assert "version=0.0.4" in PROMETHEUS_CONTENT_TYPE
-
-
-class TestSlowRequestLog:
-    def test_record_schema(self):
-        record = slow_request_record(
-            kind="slow",
-            op="inline",
-            seconds=1.5,
-            trace_id="abc",
-            request_id="def",
-            threshold=1.0,
-            cache_hits=2,
-            cache_misses=1,
-            unix_time=123.0,
-        )
-        assert record["schema"] == SLOW_LOG_SCHEMA_VERSION
-        assert record["kind"] == "slow"
-        assert record["op"] == "inline"
-        assert record["seconds"] == 1.5
-        assert record["trace_id"] == "abc"
-        assert record["request_id"] == "def"
-        assert record["threshold"] == 1.0
-        assert record["cache_hits"] == 2
-        assert record["cache_misses"] == 1
-        assert record["unix_time"] == 123.0
-        assert "error" not in record
-
-    def test_error_record_carries_error(self):
-        record = slow_request_record(
-            kind="error",
-            op="bench",
-            seconds=0.1,
-            trace_id="t",
-            request_id="r",
-            threshold=1.0,
-            error="ValueError: boom",
-            unix_time=1.0,
-        )
-        assert record["kind"] == "error"
-        assert record["error"] == "ValueError: boom"
-
-    def test_bad_kind_rejected(self):
-        with pytest.raises(ValueError):
-            slow_request_record(
-                kind="fast",
-                op="x",
-                seconds=0.0,
-                trace_id="t",
-                request_id="r",
-                threshold=0.0,
-                unix_time=0.0,
-            )
-
-    def test_append_jsonl_appends_one_line_each(self, tmp_path):
-        path = tmp_path / "slow.jsonl"
-        append_jsonl(str(path), {"a": 1})
-        append_jsonl(str(path), {"b": 2})
-        lines = [json.loads(line) for line in path.read_text().splitlines()]
-        assert lines == [{"a": 1}, {"b": 2}]
+            other.observe("s", float(value))
+        full.merge(other)
+        assert len(full._samples["s"]) == DEFAULT_MAX_SAMPLES
+        assert full.histogram("s")["count"] == DEFAULT_MAX_SAMPLES + 8

@@ -6,7 +6,7 @@ from repro.experiments.pipeline import run_suite
 from repro.experiments.tables import all_tables, table4
 from repro.observability import Observability
 from repro.pipeline import CompilationSession, parallel_map
-from repro.pipeline.parallel import validate_executor, validate_jobs
+from repro.pipeline.parallel import validate_jobs
 
 # In suite (Table 1) order — run_suite returns results in suite order.
 NAMES = ["cmp", "tee", "wc"]
@@ -96,15 +96,13 @@ class TestSessionCaching:
 
 class TestProcessExecutor:
     def test_process_suite_equals_serial(self, serial_results):
-        parallel = run_suite(
-            "small", names=NAMES, jobs=2, executor="process"
-        )
+        parallel = run_suite("small", names=NAMES, jobs=2)
         assert [r.name for r in parallel] == NAMES
         assert all_tables(parallel) == all_tables(serial_results)
 
     def test_process_worker_observability_merged(self):
         obs = Observability.create()
-        run_suite("small", names=NAMES, jobs=2, executor="process", obs=obs)
+        run_suite("small", names=NAMES, jobs=2, obs=obs)
         assert obs.metrics.counters["pipeline.benchmarks"] == len(NAMES)
         benchmark_spans = [
             r
@@ -116,9 +114,7 @@ class TestProcessExecutor:
 
     def test_process_workers_share_disk_store(self, tmp_path):
         session = CompilationSession(cache_dir=str(tmp_path / "cache"))
-        run_suite(
-            "small", names=NAMES, jobs=2, executor="process", session=session
-        )
+        run_suite("small", names=NAMES, jobs=2, session=session)
         warm_obs = Observability.create()
         run_suite("small", names=NAMES, session=session, obs=warm_obs)
         # The warm serial run reads artifacts the worker processes wrote.
@@ -134,14 +130,6 @@ class TestValidation:
         with pytest.raises(ValueError, match="jobs must be >= 1"):
             run_suite("small", names=["wc"], jobs=-2)
 
-    def test_unknown_executor_rejected(self):
-        with pytest.raises(ValueError, match="unknown executor"):
-            validate_executor("fiber")
-
-    def test_parallel_map_rejects_unknown_executor(self):
-        with pytest.raises(ValueError, match="unknown executor"):
-            parallel_map(lambda x, _obs: x, [1], jobs=2, executor="fiber")
-
 
 def _square_task(item, obs):
     obs.metrics.inc("tick")
@@ -152,15 +140,13 @@ class TestParallelMap:
     def test_process_backend_with_picklable_task(self):
         obs = Observability.create()
         items = list(range(8))
-        result = parallel_map(
-            _square_task, items, jobs=2, obs=obs, executor="process"
-        )
+        result = parallel_map(_square_task, items, jobs=2, obs=obs)
         assert result == [x * x for x in items]
         assert obs.metrics.counters["tick"] == len(items)
 
     def test_order_preserved(self):
         items = list(range(20))
-        assert parallel_map(lambda x, _obs: x * x, items, jobs=4) == [
+        assert parallel_map(_square_task, items, jobs=4) == [
             x * x for x in items
         ]
 
@@ -173,10 +159,19 @@ class TestParallelMap:
 
     def test_parallel_metrics_merge(self):
         obs = Observability.create()
-        parallel_map(
-            lambda x, child: child.metrics.inc("tick"),
-            [1, 2, 3, 4],
-            jobs=2,
-            obs=obs,
-        )
+        parallel_map(_square_task, [1, 2, 3, 4], jobs=2, obs=obs)
         assert obs.metrics.counters["tick"] == 4
+
+    def test_pool_sized_to_item_count(self, monkeypatch):
+        import repro.pipeline.parallel as parallel
+
+        sizes = []
+        real_pool = parallel.ProcessPoolExecutor
+
+        def recording_pool(max_workers):
+            sizes.append(max_workers)
+            return real_pool(max_workers=max_workers)
+
+        monkeypatch.setattr(parallel, "ProcessPoolExecutor", recording_pool)
+        assert parallel_map(_square_task, [1, 2, 3], jobs=16) == [1, 4, 9]
+        assert sizes == [3]
