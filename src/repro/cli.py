@@ -50,6 +50,7 @@ import argparse
 import sys
 
 from repro.compiler import compile_program
+from repro.experiments.pipeline import run_pipeline
 from repro.il.printer import format_module
 from repro.inliner.manager import inline_module
 from repro.inliner.params import InlineParameters
@@ -175,31 +176,33 @@ def _cmd_inline(args: argparse.Namespace) -> int:
 
         optimize_module(module, obs=obs, pass_spec=args.passes)
     spec = _run_spec(args)
+    profile = None
     if args.profile_file:
         from repro.profiler.serialize import load_profile
 
         with open(args.profile_file, encoding="utf-8") as handle:
             profile = load_profile(handle.read(), module)
-    else:
-        profile = profile_module(
-            module, [spec], check_exit=False, obs=obs, engine=args.engine
-        )
     params = InlineParameters(
         weight_threshold=args.threshold,
         size_limit_factor=args.growth,
     )
-    result = inline_module(module, profile, params, check=args.check, obs=obs)
+    run = run_pipeline(
+        module,
+        [spec],
+        params,
+        profile=profile,
+        check_exit=False,
+        check=args.check,
+        obs=obs,
+        engine=args.engine,
+    )
+    result, after = run.inline, run.post_profile
     if obs is not None and obs.tracer.enabled:
         for decision in result.decisions:
             obs.tracer.record(decision.to_record())
-    after = profile_module(
-        result.module, [spec], check_exit=False, obs=obs, engine=args.engine
-    )
-    before_calls = profile.avg_calls
-    decrease = 1.0 - after.avg_calls / before_calls if before_calls else 0.0
     print(f"expanded call sites : {len(result.records)}")
-    print(f"code increase       : {100 * result.code_increase:.1f}%")
-    print(f"call decrease       : {100 * decrease:.1f}%")
+    print(f"code increase       : {100 * run.code_increase:.1f}%")
+    print(f"call decrease       : {100 * run.call_decrease:.1f}%")
     print(f"ILs per call after  : {after.avg_il / after.avg_calls if after.avg_calls else float('inf'):.0f}")
     if args.dump:
         print(format_module(result.module))

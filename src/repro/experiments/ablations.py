@@ -5,9 +5,16 @@ B — profile-guided selection vs. the no-profile baselines of §1.2,
 C — code-growth limit (§2.3.1's program-size cap),
 D — linearization order (paper's weight heuristic vs. hybrid).
 
+A sweep is a list of variants — a label, the inliner parameters and an
+optional replacement expander — run over one prepared suite: every
+benchmark is compiled, pre-optimized and profiled once, and each
+variant hands that profile to
+:func:`~repro.experiments.pipeline.run_pipeline`, which expands and
+re-profiles. As in Table 4, no variant re-optimizes after expansion.
+
 Every sweep fans out over the suite via
-:func:`~repro.pipeline.parallel.parallel_map`; the measurement tasks
-are module-level functions parameterized with :func:`functools.partial`
+:func:`~repro.pipeline.parallel.parallel_map`; the tasks are
+module-level functions parameterized with :func:`functools.partial`
 so they pickle onto the process pool ``jobs > 1`` uses.
 """
 
@@ -23,12 +30,14 @@ from repro.baselines import (
     loop_inline,
     size_threshold_inline,
 )
+from repro.experiments.pipeline import run_pipeline
 from repro.experiments.report import pct, render_table
-from repro.inliner.manager import InlineExpander
+from repro.inliner.manager import inline_module
 from repro.inliner.params import InlineParameters
 from repro.opt import optimize_module
 from repro.pipeline.parallel import parallel_map
 from repro.profiler.profile import profile_module
+from repro.profiler.static_estimate import estimate_profile
 from repro.workloads.suite import benchmark_by_name, benchmark_names, benchmark_suite
 
 
@@ -39,63 +48,45 @@ class AblationPoint:
     call_decrease: float
 
 
-def _prepare(benchmark, scale, engine="counting"):
+def _prepare_task(name, _obs, *, scale, engine="counting"):
+    """Compile, pre-optimize and profile one benchmark, addressed by name."""
+    benchmark = benchmark_by_name(name)
     module = benchmark.compile()
     optimize_module(module)
     specs = benchmark.make_runs(scale)
-    profile = profile_module(module, specs, engine=engine)
-    return module, specs, profile
+    return module, specs, profile_module(module, specs, engine=engine)
 
 
-def _prepare_task(name, _obs, *, scale, engine="counting"):
-    """Compile+pre-optimize+profile one benchmark, addressed by name."""
-    return _prepare(benchmark_by_name(name), scale, engine)
+def _variant_task(entry, _obs, *, params, inline, engine="counting"):
+    """Expand one prepared benchmark as one variant; (code inc, call dec)."""
+    module, specs, profile = entry
+    run = run_pipeline(
+        module, specs, params, profile=profile, inline=inline, engine=engine
+    )
+    return run.code_increase, run.call_decrease
 
 
-def _prepare_suite(scale, jobs=1, engine="counting"):
-    """Compile+pre-optimize+profile every benchmark (optionally parallel)."""
-    return parallel_map(
+def _sweep(variants, scale, jobs, engine) -> list[AblationPoint]:
+    """Suite-mean code increase and call decrease of every variant."""
+    prepared = parallel_map(
         functools.partial(_prepare_task, scale=scale, engine=engine),
         benchmark_names(),
         jobs,
         worker_label="ablation-prepare",
     )
-
-
-def _measure_all(prepared, one, jobs=1):
-    """Apply ``one(module, specs, profile)`` to every prepared benchmark."""
-    return parallel_map(one, prepared, jobs, worker_label="ablation-measure")
-
-
-def _measure(
-    module, inlined_module, specs, profile, engine="counting"
-) -> tuple[float, float]:
-    before = profile.avg_calls
-    after_profile = profile_module(inlined_module, specs, engine=engine)
-    after = after_profile.avg_calls
-    decrease = max(0.0, 1.0 - after / before) if before else 0.0
-    original = module.total_code_size()
-    increase = (inlined_module.total_code_size() - original) / original
-    return increase, decrease
-
-
-def _expander_task(
-    entry, _obs, *, params=None, linearize_method=None, engine="counting"
-):
-    """Inline one prepared benchmark with the paper's expander."""
-    module, specs, profile = entry
-    if linearize_method is not None:
-        result = InlineExpander(
-            module, profile, params, linearize_method=linearize_method
-        ).run()
-    else:
-        result = InlineExpander(module, profile, params).run()
-    return _measure(module, result.module, specs, profile, engine)
+    points = []
+    for label, params, inline in variants:
+        task = functools.partial(
+            _variant_task, params=params, inline=inline, engine=engine
+        )
+        pairs = parallel_map(task, prepared, jobs, worker_label="ablation-measure")
+        points.append(_mean_point(label, pairs))
+    return points
 
 
 def _mean_point(label, pairs) -> AblationPoint:
-    incs = [inc for inc, _ in pairs]
-    decs = [dec for _, dec in pairs]
+    """The suite mean of (code increase, call decrease) ``pairs``."""
+    incs, decs = zip(*pairs)
     return AblationPoint(label, statistics.fmean(incs), statistics.fmean(decs))
 
 
@@ -106,17 +97,11 @@ def threshold_sweep(
     engine: str = "counting",
 ) -> list[AblationPoint]:
     """Ablation A: sweep the arc-weight threshold T."""
-    points = []
-    prepared = _prepare_suite(scale, jobs, engine)
-    for threshold in thresholds:
-        one = functools.partial(
-            _expander_task,
-            params=InlineParameters(weight_threshold=threshold),
-            engine=engine,
-        )
-        pairs = _measure_all(prepared, one, jobs)
-        points.append(_mean_point(f"T={threshold:g}", pairs))
-    return points
+    variants = [
+        (f"T={threshold:g}", InlineParameters(weight_threshold=threshold), None)
+        for threshold in thresholds
+    ]
+    return _sweep(variants, scale, jobs, engine)
 
 
 def growth_limit_sweep(
@@ -126,17 +111,11 @@ def growth_limit_sweep(
     engine: str = "counting",
 ) -> list[AblationPoint]:
     """Ablation C: sweep the program-size cap."""
-    points = []
-    prepared = _prepare_suite(scale, jobs, engine)
-    for factor in factors:
-        one = functools.partial(
-            _expander_task,
-            params=InlineParameters(size_limit_factor=factor),
-            engine=engine,
-        )
-        pairs = _measure_all(prepared, one, jobs)
-        points.append(_mean_point(f"limit={factor:g}x", pairs))
-    return points
+    variants = [
+        (f"limit={factor:g}x", InlineParameters(size_limit_factor=factor), None)
+        for factor in factors
+    ]
+    return _sweep(variants, scale, jobs, engine)
 
 
 def linearization_comparison(
@@ -145,47 +124,35 @@ def linearization_comparison(
     engine: str = "counting",
 ) -> list[AblationPoint]:
     """Ablation D: the paper's pure-weight order vs. the hybrid order."""
-    points = []
-    prepared = _prepare_suite(scale, jobs, engine)
-    for method in ("weight", "hybrid"):
-        one = functools.partial(
-            _expander_task, linearize_method=method, engine=engine
-        )
-        pairs = _measure_all(prepared, one, jobs)
-        points.append(_mean_point(method, pairs))
-    return points
+    variants = [
+        (method, None, functools.partial(inline_module, linearize_method=method))
+        for method in ("weight", "hybrid")
+    ]
+    return _sweep(variants, scale, jobs, engine)
 
 
-def _size25_inline(module, params):
-    return size_threshold_inline(module, 25, params)
+def _inline_on_estimate(module, _profile, params):
+    """§4.2's open question: the same expander on weights estimated by
+    structure analysis instead of profiling."""
+    return inline_module(module, estimate_profile(module), params)
 
 
-def _baseline_task(entry, _obs, *, label, engine="counting"):
-    """Inline one prepared benchmark with the named baseline heuristic."""
-    module, specs, profile = entry
-    params = InlineParameters()
-    heuristic = dict(_BASELINES)[label]
-    if heuristic is None:
-        inlined = InlineExpander(module, profile, params).run().module
-    elif heuristic == "static-estimate":
-        # §4.2's open question: run the same expander on weights
-        # estimated by structure analysis instead of profiling.
-        from repro.profiler.static_estimate import estimate_profile
-
-        estimated = estimate_profile(module)
-        inlined = InlineExpander(module, estimated, params).run().module
-    else:
-        inlined = heuristic(module, params).module
-    return _measure(module, inlined, specs, profile, engine)
+def _without_profile(heuristic, module, _profile, params):
+    """Run a no-profile baseline heuristic."""
+    return heuristic(module, params=params)
 
 
 _BASELINES = (
-    ("profile-guided", None),
-    ("static-estimate", "static-estimate"),
-    ("leaf (PL.8)", leaf_inline),
-    ("loop (MIPS)", loop_inline),
-    ("size<=25", _size25_inline),
-    ("hint (GNU)", hint_inline),
+    ("profile-guided", None, None),
+    ("static-estimate", None, _inline_on_estimate),
+    ("leaf (PL.8)", None, functools.partial(_without_profile, leaf_inline)),
+    ("loop (MIPS)", None, functools.partial(_without_profile, loop_inline)),
+    (
+        "size<=25",
+        None,
+        functools.partial(_without_profile, size_threshold_inline),
+    ),
+    ("hint (GNU)", None, functools.partial(_without_profile, hint_inline)),
 )
 
 
@@ -195,13 +162,7 @@ def baseline_comparison(
     engine: str = "counting",
 ) -> list[AblationPoint]:
     """Ablation B: profile-guided vs. static heuristics, same size cap."""
-    points = []
-    prepared = _prepare_suite(scale, jobs, engine)
-    for label, _heuristic in _BASELINES:
-        one = functools.partial(_baseline_task, label=label, engine=engine)
-        pairs = _measure_all(prepared, one, jobs)
-        points.append(_mean_point(label, pairs))
-    return points
+    return _sweep(_BASELINES, scale, jobs, engine)
 
 
 def heldout_input_check(
@@ -216,37 +177,25 @@ def heldout_input_check(
     trained-inputs number closely. Each benchmark is compiled,
     profiled on its train half and inlined once; both arms share that.
     """
-    arms = {"train-inputs": ([], []), "held-out-inputs": ([], [])}
+    arms = {"train-inputs": [], "held-out-inputs": []}
     for benchmark in benchmark_suite():
         module = benchmark.compile()
         optimize_module(module)
         specs = benchmark.make_runs(scale)
         if len(specs) < 2:
             continue
-        train = specs[0::2]
-        test = specs[1::2]
-        profile = profile_module(module, train, engine=engine)
-        inlined = InlineExpander(module, profile).run().module
-        original = module.total_code_size()
-        increase = (inlined.total_code_size() - original) / original
-        # The train arm's baseline is the profile the inliner used.
-        held_out = profile_module(module, test, engine=engine)
-        for subset, inputs, base in (
-            ("train-inputs", train, profile),
-            ("held-out-inputs", test, held_out),
+        trained = run_pipeline(module, specs[0::2], engine=engine)
+        # The held-out arm measures the train-profile expansion on the
+        # other half of the inputs.
+        held_out = run_pipeline(
+            module, specs[1::2], inline=lambda *_: trained.inline, engine=engine
+        )
+        for subset, run in (
+            ("train-inputs", trained),
+            ("held-out-inputs", held_out),
         ):
-            after = profile_module(inlined, inputs, engine=engine)
-            incs, decs = arms[subset]
-            decs.append(
-                max(0.0, 1.0 - after.avg_calls / base.avg_calls)
-                if base.avg_calls
-                else 0.0
-            )
-            incs.append(increase)
-    return [
-        AblationPoint(subset, statistics.fmean(incs), statistics.fmean(decs))
-        for subset, (incs, decs) in arms.items()
-    ]
+            arms[subset].append((run.code_increase, run.call_decrease))
+    return [_mean_point(subset, pairs) for subset, pairs in arms.items()]
 
 
 def render_points(title: str, points: list[AblationPoint]) -> str:

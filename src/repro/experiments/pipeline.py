@@ -1,10 +1,15 @@
-"""The per-benchmark experiment pipeline.
+"""The pipeline driver and the per-benchmark experiment pipeline.
 
-For each benchmark: compile, pre-optimize (constant folding and jump
-optimization, which the paper applies *before* inline expansion — §4.4),
-profile over the input set, classify call sites, inline, re-profile the
-inlined program over the same inputs, and check output equivalence
-between the original and inlined binaries on every input.
+:func:`run_pipeline` is the one implementation of the inliner's
+sequence: profile over an input set, expand, optionally optimize
+again, re-profile over the same inputs. Table 4, the ablations, the
+extension experiments and ``impact-inline inline`` all call it.
+
+For each benchmark, :func:`run_benchmark` compiles and pre-optimizes
+(constant folding and jump optimization, which the paper applies
+*before* inline expansion — §4.4), runs the driver, checks output
+equivalence between the original and inlined binaries on every input,
+and classifies the inlined program's call sites.
 
 The output check runs nothing of its own. Each profiling run keeps a
 digest of its exit code, stdout and written files
@@ -29,9 +34,11 @@ import dataclasses
 import functools
 import logging
 from dataclasses import dataclass, field
+from typing import Callable
 
+from repro.il.module import ILModule
 from repro.inliner.classify import ClassifiedSites, SiteClass, classify_sites
-from repro.inliner.manager import InlineExpander, InlineResult
+from repro.inliner.manager import InlineResult, inline_module
 from repro.inliner.params import InlineParameters
 from repro.observability import Observability, enable_console_logging, resolve
 from repro.opt import optimize_module
@@ -39,14 +46,37 @@ from repro.pipeline.parallel import parallel_map, validate_jobs
 from repro.pipeline.session import CompilationSession
 from repro.profiler.profile import ProfileData, RunSpec, profile_module, run_once
 from repro.callgraph.build import build_call_graph
-from repro.workloads.suite import (
-    Benchmark,
-    benchmark_by_name,
-    benchmark_names,
-    benchmark_suite,
-)
+from repro.workloads.suite import Benchmark, benchmark_by_name, select_benchmarks
 
 _LOG = logging.getLogger("repro.experiments")
+
+
+@dataclass
+class PipelineRun:
+    """One profile → expand → re-profile pass over one module."""
+
+    #: The module as profiled; expansion works on a copy of it.
+    module: ILModule
+    specs: list[RunSpec]
+    profile: ProfileData
+    #: The expansion (an ``InlineResult``, or a static heuristic's
+    #: result); ``inline.module`` is the inlined program.
+    inline: InlineResult
+    #: ``inline.module`` profiled over the same ``specs``.
+    post_profile: ProfileData
+
+    @property
+    def code_increase(self) -> float:
+        """Table 4's *code inc*: the expansion's static code growth."""
+        return self.inline.code_increase
+
+    @property
+    def call_decrease(self) -> float:
+        """Table 4's *call dec*: the drop in dynamic calls, clamped at 0."""
+        before = self.profile.avg_calls
+        if before <= 0:
+            return 0.0
+        return max(0.0, 1.0 - self.post_profile.avg_calls / before)
 
 
 @dataclass
@@ -86,17 +116,9 @@ class BenchmarkResult:
     # ------------------------------------------------------------------
     # Table 4 quantities
 
-    @property
-    def code_increase(self) -> float:
-        return self.inline.code_increase
-
-    @property
-    def call_decrease(self) -> float:
-        before = self.profile.avg_calls
-        after = self.post_profile.avg_calls
-        if before <= 0:
-            return 0.0
-        return max(0.0, 1.0 - after / before)
+    # The driver's formulas, over the same three fields.
+    code_increase = PipelineRun.code_increase
+    call_decrease = PipelineRun.call_decrease
 
     @property
     def ils_per_call(self) -> float:
@@ -121,12 +143,68 @@ class OutputComparison:
     rechecked: int = 0
 
 
+def run_pipeline(
+    module: ILModule,
+    specs: list[RunSpec],
+    params: InlineParameters | None = None,
+    *,
+    profile: ProfileData | None = None,
+    inline: Callable[..., InlineResult] | None = None,
+    optimize_after: bool = False,
+    check_exit: bool = True,
+    session: CompilationSession | None = None,
+    check: bool = False,
+    obs: Observability | None = None,
+    engine: str = "counting",
+) -> PipelineRun:
+    """The inliner's fixed sequence: profile, expand, re-profile (§3).
+
+    ``module`` is profiled over ``specs`` (unless ``profile`` already
+    holds that profile), expanded on a copy, optionally optimized again
+    (``optimize_after``; the paper's §4.4 recommends the full optimizer
+    after expansion, which the extension experiments apply and Table 4
+    does not), and profiled again over the same ``specs``. ``module``
+    itself is left unchanged.
+
+    ``inline`` replaces the paper's expander: it is called as
+    ``inline(module, profile, params)`` and returns the expansion (the
+    ablations' variants and baseline heuristics). With a ``session``
+    both profiles are served from its content-addressed cache, and a
+    run that exits non-zero always raises; without one, ``check_exit``
+    decides. ``check`` re-verifies the IL after every inline phase.
+    """
+    obs = resolve(obs)
+    tracer = obs.tracer
+
+    def measure(target: ILModule) -> ProfileData:
+        if session is not None:
+            return session.profile(target, specs, obs=obs, engine=engine)
+        return profile_module(
+            target, specs, check_exit=check_exit, obs=obs, engine=engine
+        )
+
+    # The spans keep the ``benchmark.*`` names that bench records
+    # aggregate phase times by.
+    if profile is None:
+        with tracer.span("benchmark.profile"):
+            profile = measure(module)
+    with tracer.span("benchmark.inline"):
+        if inline is None:
+            result = inline_module(module, profile, params, check=check, obs=obs)
+        else:
+            result = inline(module, profile, params)
+    if optimize_after:
+        with tracer.span("benchmark.post_optimize"):
+            optimize_module(result.module, obs=obs)
+    with tracer.span("benchmark.post_profile"):
+        post_profile = measure(result.module)
+    return PipelineRun(module, specs, profile, result, post_profile)
+
+
 def run_benchmark(
     benchmark: Benchmark,
     scale: str = "small",
     params: InlineParameters | None = None,
-    pre_optimize: bool = True,
-    check_outputs: bool = True,
     obs: Observability | None = None,
     session: CompilationSession | None = None,
     pass_spec: str | None = None,
@@ -135,20 +213,21 @@ def run_benchmark(
 ) -> BenchmarkResult:
     """Run the full experiment pipeline for one benchmark.
 
-    With a :class:`~repro.pipeline.session.CompilationSession`, the
-    compile (including pre-optimization) and both profiling stages are
-    served content-addressed from its cache when possible; without one
-    every stage runs from scratch, exactly as before. ``pass_spec``
-    selects a custom pre-optimization pipeline (default: the full
-    five-pass set). ``check`` re-verifies IL well-formedness after
+    Compiles and pre-optimizes the benchmark (``pass_spec`` selects the
+    passes: ``None`` is the full five-pass set, ``""`` none at all),
+    runs :func:`run_pipeline` over its inputs without post-inline
+    optimization, checks outputs and classifies the inlined program's
+    call sites. With a :class:`~repro.pipeline.session.CompilationSession`
+    the compile and both profiles are served content-addressed from its
+    cache when possible. ``check`` re-verifies IL well-formedness after
     every inline phase (the ``--check`` mode).
 
-    With ``check_outputs`` the original and inlined programs must agree
-    on exit code, stdout and written files for every input. The check
-    diffs the output digests both profiling passes recorded, so each
-    input runs once per module; :func:`compare_outputs` re-runs only
-    the inputs whose digests differ, to describe the divergence (or
-    every input, when a profile carries no digests).
+    The original and inlined programs must agree on exit code, stdout
+    and written files for every input. The check diffs the output
+    digests both profiling passes recorded, so each input runs once per
+    module; :func:`compare_outputs` re-runs only the inputs whose
+    digests differ, to describe the divergence (or every input, when a
+    profile carries no digests).
     """
     params = params or InlineParameters()
     obs = resolve(obs)
@@ -158,65 +237,43 @@ def run_benchmark(
         if session is not None:
             with tracer.span("benchmark.compile", name=benchmark.name):
                 module = session.compile_benchmark(
-                    benchmark,
-                    pre_optimize=pre_optimize,
-                    pass_spec=pass_spec,
-                    obs=obs,
+                    benchmark, pass_spec=pass_spec, obs=obs
                 )
         else:
             with tracer.span("benchmark.compile", name=benchmark.name):
                 module = benchmark.compile(obs=obs)
-            if pre_optimize:
-                with tracer.span("benchmark.pre_optimize", name=benchmark.name):
+            if pass_spec != "":
+                with tracer.span("benchmark.optimize", name=benchmark.name):
                     optimize_module(module, obs=obs, pass_spec=pass_spec)
         specs = benchmark.make_runs(scale)
-        with tracer.span("benchmark.profile", name=benchmark.name):
-            if session is not None:
-                profile = session.profile(
-                    module, specs, scale=scale, params=params, obs=obs,
-                    engine=engine,
-                )
-            else:
-                profile = profile_module(module, specs, obs=obs, engine=engine)
-
-        with tracer.span("benchmark.inline", name=benchmark.name):
-            expander = InlineExpander(
-                module, profile, params, check=check, obs=obs
-            )
-            inline_result = expander.run()
+        run = run_pipeline(
+            module, specs, params, session=session, check=check, obs=obs,
+            engine=engine,
+        )
+        inline_result = run.inline
         if tracer.enabled:
             for decision in inline_result.decisions:
                 record = decision.to_record()
                 record["benchmark"] = benchmark.name
                 tracer.record(record)
-        with tracer.span("benchmark.post_profile", name=benchmark.name):
-            if session is not None:
-                post_profile = session.profile(
-                    inline_result.module, specs, scale=scale, params=params,
-                    obs=obs, engine=engine,
-                )
-            else:
-                post_profile = profile_module(
-                    inline_result.module, specs, obs=obs, engine=engine
-                )
 
-        comparison = OutputComparison(matches=True)
-        if check_outputs:
-            with tracer.span("benchmark.check_outputs", name=benchmark.name):
-                comparison = diff_outputs(
-                    module, inline_result.module, specs, profile,
-                    post_profile, engine=engine,
-                )
-            for divergence in comparison.divergences:
-                tracer.event(
-                    "output_divergence", benchmark=benchmark.name, detail=divergence
-                )
-                _LOG.warning("[%s] output divergence: %s", benchmark.name, divergence)
+        with tracer.span("benchmark.output_check", name=benchmark.name):
+            comparison = diff_outputs(
+                module, inline_result.module, specs, run.profile,
+                run.post_profile, engine=engine,
+            )
+        for divergence in comparison.divergences:
+            tracer.event(
+                "output_divergence", benchmark=benchmark.name, detail=divergence
+            )
+            _LOG.warning("[%s] output divergence: %s", benchmark.name, divergence)
 
         with tracer.span("benchmark.post_classify", name=benchmark.name):
-            post_graph = build_call_graph(inline_result.module, post_profile, obs=obs)
+            post_graph = build_call_graph(
+                inline_result.module, run.post_profile, obs=obs
+            )
             post_classified = classify_sites(
-                inline_result.module, post_graph, post_profile, params
+                inline_result.module, post_graph, run.post_profile, params
             )
         attrs["outputs_match"] = comparison.matches
         attrs["expansions"] = len(inline_result.records)
@@ -237,10 +294,10 @@ def run_benchmark(
         c_lines=benchmark.c_lines,
         runs=len(specs),
         input_description=benchmark.input_description,
-        profile=profile,
+        profile=run.profile,
         classified=inline_result.classified,
         inline=inline_result,
-        post_profile=post_profile,
+        post_profile=run.post_profile,
         post_classified=post_classified,
         outputs_match=comparison.matches,
         params=params,
@@ -371,33 +428,21 @@ def _benchmark_task(
     name: str,
     obs: Observability,
     *,
-    scale: str,
-    params: InlineParameters | None,
-    pre_optimize: bool,
-    check_outputs: bool,
-    session_spec: dict | None,
-    pass_spec: str | None,
-    check: bool,
-    engine: str,
+    session: CompilationSession | None = None,
+    session_spec: dict | None = None,
+    **options,
 ) -> BenchmarkResult:
     """One suite item, addressed by benchmark name so it pickles.
 
-    Process workers re-open the shared disk cache from ``session_spec``;
-    the serial path passes the live session directly and never reaches
-    this function.
+    The serial loop passes the live ``session``; process workers
+    re-open the shared disk cache from ``session_spec`` instead.
+    ``options`` are :func:`run_benchmark`'s keywords.
     """
     _LOG.info("[%s] running ...", name)
+    if session is None:
+        session = _session_from_spec(session_spec)
     return run_benchmark(
-        benchmark_by_name(name),
-        scale,
-        params,
-        pre_optimize,
-        check_outputs,
-        obs=obs,
-        session=_session_from_spec(session_spec),
-        pass_spec=pass_spec,
-        check=check,
-        engine=engine,
+        benchmark_by_name(name), obs=obs, session=session, **options
     )
 
 
@@ -405,8 +450,6 @@ def run_suite(
     scale: str = "small",
     params: InlineParameters | None = None,
     names: list[str] | None = None,
-    pre_optimize: bool = True,
-    check_outputs: bool = True,
     progress: bool = False,
     obs: Observability | None = None,
     jobs: int = 1,
@@ -415,9 +458,11 @@ def run_suite(
     check: bool = False,
     engine: str = "counting",
 ) -> list[BenchmarkResult]:
-    """Run the pipeline for every benchmark (or a named subset).
+    """Run :func:`run_benchmark` for every benchmark (or a named subset).
 
-    ``names`` must all be known benchmark names; unknown names raise
+    Every benchmark is pre-optimized, inlined without post-inline
+    optimization and output-checked, as Table 4 requires. ``names``
+    must all be known benchmark names; unknown names raise
     :class:`ValueError` rather than being silently skipped. With
     ``jobs > 1`` the benchmarks run on a process pool — results keep
     suite order and per-worker trace/metric records are merged into the
@@ -436,59 +481,25 @@ def run_suite(
     if progress:
         enable_console_logging()
     obs = resolve(obs)
-    if names is not None:
-        unknown = sorted(set(names) - set(benchmark_names()))
-        if unknown:
-            raise ValueError(
-                f"unknown benchmark name(s): {', '.join(unknown)};"
-                f" known: {', '.join(benchmark_names())}"
-            )
-    selected = [
-        benchmark
-        for benchmark in benchmark_suite()
-        if names is None or benchmark.name in names
-    ]
+    selected = [benchmark.name for benchmark in select_benchmarks(names)]
+    options = dict(
+        scale=scale, params=params, pass_spec=pass_spec, check=check,
+        engine=engine,
+    )
+    if jobs > 1 and session is not None:
+        # Ship the session as its picklable spec; the live object holds
+        # locks and caches that cannot cross the process boundary.
+        options["session_spec"] = session.spec()
+    else:
+        options["session"] = session
     with obs.tracer.span("suite", scale=scale) as attrs:
-        if jobs <= 1:
-            results = []
-            for benchmark in selected:
-                _LOG.info("[%s] running ...", benchmark.name)
-                results.append(
-                    run_benchmark(
-                        benchmark,
-                        scale,
-                        params,
-                        pre_optimize,
-                        check_outputs,
-                        obs=obs,
-                        session=session,
-                        pass_spec=pass_spec,
-                        check=check,
-                        engine=engine,
-                    )
-                )
-        else:
-            # Ship the session as its picklable spec; the live object
-            # holds locks and caches that cannot cross the process
-            # boundary.
-            task = functools.partial(
-                _benchmark_task,
-                scale=scale,
-                params=params,
-                pre_optimize=pre_optimize,
-                check_outputs=check_outputs,
-                session_spec=session.spec() if session else None,
-                pass_spec=pass_spec,
-                check=check,
-                engine=engine,
-            )
-            results = parallel_map(
-                task,
-                [benchmark.name for benchmark in selected],
-                jobs,
-                obs=obs,
-                worker_label="suite",
-            )
+        results = parallel_map(
+            functools.partial(_benchmark_task, **options),
+            selected,
+            jobs,
+            obs=obs,
+            worker_label="suite",
+        )
         attrs["benchmarks"] = len(results)
     return results
 

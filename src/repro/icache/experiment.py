@@ -11,12 +11,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.experiments.pipeline import run_pipeline
 from repro.icache.cache import InstructionCache
 from repro.il.module import ILModule
-from repro.inliner.manager import inline_module
 from repro.inliner.params import InlineParameters
 from repro.opt import optimize_module
-from repro.profiler.profile import RunSpec, profile_module
+from repro.profiler.profile import RunSpec
 from repro.vm.machine import Machine
 
 
@@ -38,28 +38,31 @@ class CachePoint:
         return 1.0 - self.miss_after / self.miss_before
 
 
-def _traced_miss_ratio(
+def traced_miss_ratio(
     module: ILModule,
     specs: list[RunSpec],
     size_bytes: int,
     line_bytes: int,
     associativity: int,
-    layout: str = "sequential",
     seeds: tuple[int, ...] = (0,),
+    **machine_options,
 ) -> float:
-    """Average miss ratio over the given layout seeds."""
+    """Average miss ratio over the given layout seeds.
+
+    ``machine_options`` (``code_layout``, ``function_order``) go to
+    every :class:`~repro.vm.machine.Machine`.
+    """
     total = 0.0
     for seed in seeds:
         cache = InstructionCache(size_bytes, line_bytes, associativity)
         for spec in specs:
-            machine = Machine(
+            Machine(
                 module,
                 spec.make_os(),
                 icache=cache,
-                code_layout=layout,
                 layout_seed=seed,
-            )
-            machine.run()
+                **machine_options,
+            ).run()
         total += cache.stats.miss_ratio
     return total / len(seeds)
 
@@ -92,17 +95,19 @@ def icache_experiment(
         ]
     working = module.clone()
     optimize_module(working)
-    profile = profile_module(working, specs, check_exit=False)
-    inlined = inline_module(working, profile, params).module
-    optimize_module(inlined)
+    inlined = run_pipeline(
+        working, specs, params, optimize_after=True, check_exit=False
+    ).inline.module
 
     points = []
     for size_bytes, line_bytes, associativity in configs:
-        before = _traced_miss_ratio(
-            working, specs, size_bytes, line_bytes, associativity, layout, seeds
+        before = traced_miss_ratio(
+            working, specs, size_bytes, line_bytes, associativity, seeds,
+            code_layout=layout,
         )
-        after = _traced_miss_ratio(
-            inlined, specs, size_bytes, line_bytes, associativity, layout, seeds
+        after = traced_miss_ratio(
+            inlined, specs, size_bytes, line_bytes, associativity, seeds,
+            code_layout=layout,
         )
         points.append(
             CachePoint(size_bytes, line_bytes, associativity, before, after)

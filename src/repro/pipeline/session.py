@@ -7,10 +7,11 @@ experiment pipeline:
   pre-optimization pass spec, entry) — the cached module already has the
   pass pipeline applied, and lookups return a :meth:`~repro.il.module.
   ILModule.clone` so callers can mutate freely;
-- **profiles**, keyed over (module content, input specs, scale,
-  :class:`~repro.inliner.params.InlineParameters`) — the module content
-  key covers every instruction (including call-site ids), so a profile
-  is only ever replayed against the exact code it was measured on.
+- **profiles**, keyed over (module content, input fingerprints) — the
+  module content key covers every instruction (including call-site
+  ids), so a profile is only ever replayed against the exact code it
+  was measured on. Nothing else goes into the key: profiling takes no
+  inliner parameters, so a second ``--threshold`` reuses the profile.
 
 An optional on-disk store (``.repro-cache/`` by convention) makes the
 cache survive across processes — and is **shared between concurrent
@@ -22,16 +23,16 @@ directory grows unbounded, and process-safe by construction:
 - writes go to a temp file and land via atomic ``os.replace``, so a
   killed writer can never leave a truncated entry under the final name;
 - a store-wide advisory lock (``fcntl.flock`` on ``.lock`` where
-  available) serializes writers and eviction, so two processes storing
-  the same key never interleave;
-- eviction (``disk_max_entries``) removes oldest-first under the same
-  lock and tolerates entries already removed by a sibling process.
+  available) serializes writers, so two processes storing the same key
+  never interleave.
 
 The store stays corruption-tolerant by design: an unreadable,
 truncated, or wrong-format entry is silently a miss — never an error —
 so a stale or damaged cache directory can always be reused or simply
 deleted.
 
+The disk store is never evicted; delete the directory (or call
+:meth:`CompilationSession.clear` with ``disk=True``) to reclaim it.
 Hit/miss/evict counts are reported as ``pipeline.cache.*`` metrics on
 the session's (or each call's) Observability.
 """
@@ -60,8 +61,8 @@ from repro.observability import Observability, resolve
 #: carry per-run output digests (``ProfileData.outputs``).
 CACHE_FORMAT = 2
 
-#: Default on-disk store location (created on first use).
-DEFAULT_CACHE_DIR = ".repro-cache"
+#: In-memory LRU bound, per artifact kind.
+MAX_ENTRIES = 256
 
 
 def _digest(payload: Any) -> str:
@@ -151,55 +152,34 @@ def _spec_fingerprint(spec) -> dict:
     }
 
 
-def profile_cache_key(
-    module,
-    specs,
-    scale: str = "",
-    params=None,
-) -> str:
+def profile_cache_key(module, specs) -> str:
     """The content-addressed key of a profile over an input set."""
-    params_payload = None
-    if params is not None:
-        params_payload = {
-            slot: getattr(params, slot) for slot in params.__slots__
-        }
     return _digest(
         {
             "format": CACHE_FORMAT,
             "kind": "profile",
             "module": module_content_key(module),
             "specs": [_spec_fingerprint(spec) for spec in specs],
-            "scale": scale,
-            "params": params_payload,
         }
     )
-
-
-def _copy_profile(profile):
-    """An isolated copy so cached weights can never be mutated back."""
-    return copy.deepcopy(profile)
 
 
 class CompilationSession:
     """Content-addressed artifact cache for compiles and profiles.
 
-    In-memory entries are LRU-bounded by ``max_entries`` per artifact
-    kind; with ``cache_dir`` set, entries are also pickled to disk and
-    found again by later sessions (and later processes).
+    In-memory entries are LRU-bounded by :data:`MAX_ENTRIES` per
+    artifact kind; with ``cache_dir`` set, entries are also pickled to
+    disk and found again by later sessions (and later processes).
     """
 
     def __init__(
         self,
         cache_dir: str | None = None,
-        max_entries: int = 256,
-        disk_max_entries: int | None = None,
         obs: Observability | None = None,
     ):
         self._modules: OrderedDict[str, Any] = OrderedDict()
         self._profiles: OrderedDict[str, Any] = OrderedDict()
         self.cache_dir = cache_dir
-        self.max_entries = max_entries
-        self.disk_max_entries = disk_max_entries
         self._obs = resolve(obs)
         self._lock = threading.Lock()
         self._dir = (
@@ -215,18 +195,12 @@ class CompilationSession:
 
     def spec(self) -> dict:
         """A picklable description re-creating an equivalent session."""
-        return {
-            "cache_dir": self.cache_dir,
-            "max_entries": self.max_entries,
-            "disk_max_entries": self.disk_max_entries,
-        }
+        return {"cache_dir": self.cache_dir}
 
     @classmethod
     def from_spec(cls, spec: dict | None) -> "CompilationSession | None":
         """Open a session from :meth:`spec` output (``None`` passes through)."""
-        if spec is None:
-            return None
-        return cls(**spec)
+        return None if spec is None else cls(**spec)
 
     # ------------------------------------------------------------------
     # generic keyed store
@@ -253,7 +227,7 @@ class CompilationSession:
         with self._lock:
             table[key] = value
             table.move_to_end(key)
-            while len(table) > self.max_entries:
+            while len(table) > MAX_ENTRIES:
                 table.popitem(last=False)
                 self._count(obs, "evictions")
 
@@ -268,17 +242,13 @@ class CompilationSession:
         """Sharded entry path: ``v<FORMAT>/<kind>/<first-2-hex>/<key>.pkl``."""
         return os.path.join(self._dir, kind, key[:2], f"{key}.pkl")
 
-    def _legacy_disk_path(self, kind: str, key: str) -> str:
-        """The pre-sharding flat layout, still honored on reads."""
-        return os.path.join(self._dir, f"{kind}-{key}.pkl")
-
     @contextmanager
     def _store_lock(self):
         """Store-wide advisory write lock (no-op where flock is missing).
 
         Readers never take it — atomic rename means a read sees either
         the old entry, the new entry, or nothing, all of which are
-        valid. Writers and eviction serialize on it across processes.
+        valid. Writers serialize on it across processes.
         """
         if fcntl is None or self.cache_dir is None:
             yield
@@ -291,30 +261,20 @@ class CompilationSession:
             finally:
                 fcntl.flock(handle, fcntl.LOCK_UN)
 
-    def _read_payload(self, path: str, kind: str) -> Any:
-        with open(path, "rb") as handle:
-            payload = pickle.load(handle)
+    def _disk_load(self, kind: str, key: str) -> Any:
+        if self._dir is None:
+            return None
+        try:
+            with open(self._disk_path(kind, key), "rb") as handle:
+                payload = pickle.load(handle)
+        except Exception:
+            return None
         if (
             isinstance(payload, dict)
             and payload.get("format") == CACHE_FORMAT
             and payload.get("kind") == kind
         ):
             return payload["value"]
-        return None
-
-    def _disk_load(self, kind: str, key: str) -> Any:
-        if self._dir is None:
-            return None
-        for path in (
-            self._disk_path(kind, key),
-            self._legacy_disk_path(kind, key),
-        ):
-            try:
-                value = self._read_payload(path, kind)
-            except Exception:
-                continue
-            if value is not None:
-                return value
         return None
 
     def _disk_store(self, kind: str, key: str, value: Any) -> None:
@@ -331,47 +291,9 @@ class CompilationSession:
                         handle,
                     )
                 os.replace(tmp, path)
-                if self.disk_max_entries is not None:
-                    self._disk_evict_locked()
         except Exception:
             # A cache that cannot be written is a slow cache, not a bug.
             return
-
-    def _disk_entries(self) -> list[str]:
-        """Every entry file in the store (sharded and legacy layouts)."""
-        entries: list[str] = []
-        for root, _dirs, files in os.walk(self._dir):
-            for name in files:
-                if name.endswith(".pkl"):
-                    entries.append(os.path.join(root, name))
-        return entries
-
-    def _disk_evict_locked(self, obs: Observability | None = None) -> int:
-        """Drop oldest entries beyond ``disk_max_entries`` (lock held).
-
-        Safe against sibling processes: an entry that vanished between
-        listing and unlinking was simply evicted by someone else.
-        """
-        obs = resolve(obs if obs is not None else self._obs)
-        entries = self._disk_entries()
-        excess = len(entries) - (self.disk_max_entries or 0)
-        if excess <= 0:
-            return 0
-        def mtime(path: str) -> float:
-            try:
-                return os.stat(path).st_mtime
-            except OSError:
-                return 0.0
-        evicted = 0
-        for path in sorted(entries, key=mtime)[:excess]:
-            try:
-                os.unlink(path)
-                evicted += 1
-            except OSError:
-                pass
-        if evicted and obs.metrics.enabled:
-            obs.metrics.inc("pipeline.cache.disk_evictions", evicted)
-        return evicted
 
     # ------------------------------------------------------------------
     # artifacts
@@ -416,18 +338,20 @@ class CompilationSession:
     def compile_benchmark(
         self,
         benchmark,
-        pre_optimize: bool = True,
         pass_spec: str | None = None,
         obs: Observability | None = None,
     ):
-        """Cached compile of one suite benchmark (pre-optimized by default)."""
+        """Cached compile of one suite benchmark.
+
+        ``pass_spec`` is the pre-optimization pipeline: ``None`` means
+        the full five-pass set, ``""`` no pre-optimization.
+        """
         from repro.pipeline.passes import DEFAULT_OPT_SPEC
 
-        effective = pass_spec if pass_spec is not None else DEFAULT_OPT_SPEC
         return self.compiled_module(
             benchmark.source,
             filename=f"{benchmark.name}.c",
-            pass_spec=effective if pre_optimize else "",
+            pass_spec=pass_spec if pass_spec is not None else DEFAULT_OPT_SPEC,
             obs=obs,
         )
 
@@ -435,8 +359,6 @@ class CompilationSession:
         self,
         module,
         specs,
-        scale: str = "",
-        params=None,
         obs: Observability | None = None,
         engine: str = "counting",
     ):
@@ -447,14 +369,15 @@ class CompilationSession:
         under one engine is valid for the other.
         """
         obs = resolve(obs if obs is not None else self._obs)
-        key = profile_cache_key(module, specs, scale, params)
+        key = profile_cache_key(module, specs)
         cached = self._lookup(self._profiles, "profile", key, obs)
         if cached is None:
             from repro.profiler.profile import profile_module
 
             cached = profile_module(module, specs, obs=obs, engine=engine)
             self._store(self._profiles, "profile", key, cached, obs)
-        return _copy_profile(cached)
+        # An isolated copy, so cached weights can never be mutated back.
+        return copy.deepcopy(cached)
 
     # ------------------------------------------------------------------
 

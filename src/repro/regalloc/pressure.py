@@ -15,11 +15,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.experiments.pipeline import run_pipeline
 from repro.il.module import ILModule
-from repro.inliner.manager import inline_module
 from repro.inliner.params import InlineParameters
 from repro.opt import optimize_module
-from repro.profiler.profile import ProfileData, RunSpec, profile_module
+from repro.profiler.profile import ProfileData, RunSpec
 from repro.regalloc.coloring import allocate_module
 
 
@@ -77,14 +77,13 @@ def pressure_experiment(
     """
     working = module.clone()
     optimize_module(working)
-    profile = profile_module(working, specs, check_exit=False)
-    inlined = inline_module(working, profile, params).module
-    optimize_module(inlined)
-    inlined_profile = profile_module(inlined, specs, check_exit=False)
+    run = run_pipeline(
+        working, specs, params, optimize_after=True, check_exit=False
+    )
 
     results = []
     for k in ks:
-        before = measure_pressure(working, profile, k)
-        after = measure_pressure(inlined, inlined_profile, k)
+        before = measure_pressure(working, run.profile, k)
+        after = measure_pressure(run.inline.module, run.post_profile, k)
         results.append((k, before, after))
     return results

@@ -25,12 +25,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.il.module import ILModule
 from repro.inliner.manager import InlineResult, inline_module
 from repro.inliner.params import InlineParameters
 from repro.observability import Observability, resolve
 from repro.opt import optimize_module
 from repro.profiler.profile import ProfileData, RunSpec, profile_module, run_once
-from repro.workloads.suite import Benchmark, benchmark_names, benchmark_suite
+from repro.workloads.suite import Benchmark, select_benchmarks
 
 
 @dataclass
@@ -51,6 +52,9 @@ class DifferentialReport:
     eliminated_floor: int = 0
     projected_size: int = 0
     measured_size: int = 0
+    #: The oracle's inlined module; later stages (the fuzzer's
+    #: post-inline optimizer) reuse it instead of inlining again.
+    inlined: ILModule | None = field(default=None, repr=False)
 
     @property
     def calls_eliminated(self) -> int:
@@ -136,6 +140,7 @@ def verify_inlining(
         result: InlineResult = inline_module(
             module, profile, params, seed=seed, check=True, obs=obs
         )
+        report.inlined = result.module
         report.expansions = len(result.records)
         report.projected_size = result.selection.projected_size
         report.measured_size = result.pre_cleanup_size
@@ -179,16 +184,14 @@ def verify_benchmark(
     benchmark: Benchmark,
     scale: str = "small",
     params: InlineParameters | None = None,
-    pre_optimize: bool = True,
     seed: int = 0,
     obs: Observability | None = None,
     engine: str = "counting",
 ) -> DifferentialReport:
-    """Compile one suite benchmark and run the oracle on it."""
+    """Compile and pre-optimize one suite benchmark, then run the oracle."""
     obs = resolve(obs)
     module = benchmark.compile(obs=obs)
-    if pre_optimize:
-        optimize_module(module, obs=obs)
+    optimize_module(module, obs=obs)
     return verify_inlining(
         module,
         benchmark.make_runs(scale),
@@ -204,29 +207,19 @@ def verify_suite(
     names: list[str] | None = None,
     scale: str = "small",
     params: InlineParameters | None = None,
-    pre_optimize: bool = True,
     seed: int = 0,
     obs: Observability | None = None,
     engine: str = "counting",
 ) -> list[DifferentialReport]:
     """Run the oracle over every suite benchmark (or a named subset)."""
-    if names is not None:
-        unknown = sorted(set(names) - set(benchmark_names()))
-        if unknown:
-            raise ValueError(
-                f"unknown benchmark name(s): {', '.join(unknown)};"
-                f" known: {', '.join(benchmark_names())}"
-            )
     return [
         verify_benchmark(
             benchmark,
             scale,
             params,
-            pre_optimize,
             seed=seed,
             obs=obs,
             engine=engine,
         )
-        for benchmark in benchmark_suite()
-        if names is None or benchmark.name in names
+        for benchmark in select_benchmarks(names)
     ]

@@ -28,7 +28,7 @@ from repro.errors import ReproError
 from repro.observability import Observability, resolve
 from repro.profiler.profile import RunSpec, run_once
 from repro.vm.machine import ENGINES
-from repro.workloads.suite import Benchmark, benchmark_names, benchmark_suite
+from repro.workloads.suite import Benchmark, select_benchmarks
 
 
 @dataclass
@@ -197,19 +197,11 @@ def diff_engines_suite(
     obs: Observability | None = None,
 ) -> list[EngineDiffReport]:
     """Diff the engines over every suite benchmark (or a subset)."""
-    if names is not None:
-        unknown = sorted(set(names) - set(benchmark_names()))
-        if unknown:
-            raise ValueError(
-                f"unknown benchmark name(s): {', '.join(unknown)};"
-                f" known: {', '.join(benchmark_names())}"
-            )
     return [
         diff_engines_benchmark(
             benchmark, scale, collect_branches=collect_branches, obs=obs
         )
-        for benchmark in benchmark_suite()
-        if names is None or benchmark.name in names
+        for benchmark in select_benchmarks(names)
     ]
 
 

@@ -26,11 +26,10 @@ from dataclasses import dataclass, field
 from repro.compiler import compile_program
 from repro.errors import ReproError
 from repro.il.verifier import verify_module
-from repro.inliner.manager import inline_module
 from repro.inliner.params import InlineParameters
 from repro.observability import Observability, resolve
 from repro.opt import optimize_module
-from repro.profiler.profile import RunSpec, profile_module, run_once
+from repro.profiler.profile import RunSpec, run_once
 from repro.verify.differential import DifferentialReport, verify_inlining
 
 #: Inliner knobs the fuzz stage runs under: a low threshold and a
@@ -237,7 +236,8 @@ def check_program(
 
     Stage order: compile (hardened verifier runs inside), baseline run,
     optimize + re-verify + re-run, differential inline oracle on the
-    optimized module, optimize-after-inlining + re-verify + re-run.
+    optimized module, then optimize-after-inlining + re-verify + re-run
+    on the oracle's own inlined module (each program is inlined once).
     Every stage's behavior is compared against the baseline. All
     executions use ``engine``.
     """
@@ -283,20 +283,14 @@ def check_program(
         for problem in report.divergences + report.invariant_failures
     ]
 
-    inlined = optimized.clone()
+    inlined = report.inlined
     try:
-        # Re-inline on a clone so the post-inline optimizer has a module
-        # to mutate (the oracle keeps its own result internal).
-        profile = profile_module(inlined, [spec], obs=obs, engine=engine)
-        result = inline_module(
-            inlined, profile, params, seed=seed, check=True, obs=obs
-        )
-        optimize_module(result.module, obs=obs)
-        verify_module(result.module)
+        optimize_module(inlined, obs=obs)
+        verify_module(inlined)
     except ReproError as error:
         failures.append(fail("optimize-after-inline", str(error)))
         return failures, report
-    if _behavior(run_once(result.module, spec, obs=obs, engine=engine)) != expected:
+    if _behavior(run_once(inlined, spec, obs=obs, engine=engine)) != expected:
         failures.append(
             fail("optimize-after-inline", "behavior diverged from baseline")
         )

@@ -17,7 +17,7 @@ from repro.experiments.tables import (
     table4,
 )
 from repro.inliner.classify import SiteClass
-from repro.workloads import benchmark_by_name
+from repro.workloads import benchmark_by_name, benchmark_suite
 
 
 @pytest.fixture(scope="module")
@@ -128,18 +128,21 @@ class TestReportHelpers:
 
 class TestHeldOutAblation:
     def test_profiles_each_module_input_set_once(self, monkeypatch):
-        from repro.experiments import ablations
+        from repro.experiments import ablations, pipeline
 
         profiled, alive = [], []
-        original = ablations.profile_module
+        original = pipeline.profile_module
 
         def profile_module(module, specs, **kwargs):
             alive.append((module, specs))  # ids stay unique while alive
             profiled.append((id(module), tuple(id(spec) for spec in specs)))
             return original(module, specs, **kwargs)
 
-        monkeypatch.setattr(ablations, "profile_module", profile_module)
+        # The driver does every profiling run of the held-out sweep.
+        monkeypatch.setattr(pipeline, "profile_module", profile_module)
         points = ablations.heldout_input_check("small")
+        # Per benchmark: both halves, before and after inlining.
+        assert len(profiled) == 4 * len(benchmark_suite())
         assert len(profiled) == len(set(profiled))
         # The table is the one the two-pass sweep rendered.
         assert ablations.render_points("Ablation E.", points) == (

@@ -207,12 +207,18 @@ class TestInstructionCache:
     def test_experiment_reports_points(self):
         from repro.workloads import benchmark_by_name
 
-        benchmark = benchmark_by_name("cmp")
-        module = benchmark.compile()
-        specs = benchmark.make_runs("small")[:1]
-        points = icache_experiment(
-            module, specs, configs=[(512, 16, 1)], seeds=(0, 1)
-        )
-        [point] = points
-        assert 0.0 <= point.miss_before <= 1.0
-        assert 0.0 <= point.miss_after <= 1.0
+        # Exact miss ratios: the experiment's profile → inline →
+        # optimize sequence must not drift.
+        expected = {
+            "cmp": (0.07891472868217055, 0.0032016099524332237),
+            "compress": (0.09064688916357644, 0.039361446294436345),
+        }
+        for name, (before, after) in expected.items():
+            benchmark = benchmark_by_name(name)
+            module = benchmark.compile()
+            specs = benchmark.make_runs("small")[:1]
+            points = icache_experiment(
+                module, specs, configs=[(512, 16, 1)], seeds=(0, 1)
+            )
+            [point] = points
+            assert (point.miss_before, point.miss_after) == (before, after)

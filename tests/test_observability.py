@@ -382,7 +382,7 @@ class TestOutputDivergenceDiagnostics:
 class TestSuiteLogging:
     def test_progress_uses_repro_logger(self, caplog):
         with caplog.at_level(logging.INFO, logger="repro.experiments"):
-            run_suite("small", names=["cmp"], check_outputs=False)
+            run_suite("small", names=["cmp"])
         messages = [r.getMessage() for r in caplog.records]
         assert any("[cmp] running ..." in m for m in messages)
 

@@ -129,7 +129,7 @@ class TestExecutionCount:
         benchmark = benchmark_by_name(name)
         counter = _RunCounter(monkeypatch)
         obs = Observability.create()
-        result = run_benchmark(benchmark, "small", check_outputs=True, obs=obs)
+        result = run_benchmark(benchmark, "small", obs=obs)
         assert result.outputs_match
         assert counter.calls == 2 * len(benchmark.make_runs("small"))
         assert result.vm_runs == counter.calls
