@@ -22,7 +22,7 @@ from repro.inliner.manager import InlineExpander, InlineResult, inline_module
 from repro.inliner.params import InlineParameters
 from repro.observability import Observability
 from repro.opt import optimize_function, optimize_module
-from repro.pipeline import CompilationSession, PassManager, parse_pass_spec
+from repro.pipeline import CompilationSession
 from repro.profiler.profile import (
     ProfileData,
     RunSpec,
@@ -41,7 +41,6 @@ __all__ = [
     "InlineResult",
     "Machine",
     "Observability",
-    "PassManager",
     "ProfileData",
     "RunResult",
     "RunSpec",
@@ -51,7 +50,6 @@ __all__ = [
     "inline_module",
     "optimize_function",
     "optimize_module",
-    "parse_pass_spec",
     "profile_module",
     "run_once",
 ]

@@ -15,7 +15,7 @@ Subcommands::
     impact-inline bench [--benchmarks ...] [--config NAME] [-o FILE]
         Run the suite under full telemetry and write a schema-versioned
         BENCH_<config>.json record (counts, phase times, cache rates).
-    impact-inline report BASELINE [CURRENT] [--format table|markdown|html]
+    impact-inline report BASELINE [CURRENT] [--format table|markdown]
         Compare two bench records; non-zero exit on exact-metric
         regressions (wall time gated only with --fail-on-time).
     impact-inline check [--benchmarks ...] [--fuzz N] [--seed S] [--engines]
@@ -28,15 +28,15 @@ Subcommands::
         counter dictionaries must be identical).
 
 ``run``, ``inline``, and ``tables`` accept ``--check`` (re-verify IL
-well-formedness — for ``inline`` and ``tables`` after every pipeline
-pass) and ``--trace FILE`` (structured
-JSONL trace: phase spans, events, inline-decision audit records),
+well-formedness: for ``run`` before executing, for ``inline`` and
+``tables`` after each of the six §3 inline phases), ``--trace FILE``
+(structured JSONL trace: phase spans, events, inline-decision audit
+records),
 ``--metrics-out FILE`` (JSON snapshot of pipeline counters/gauges/
 histograms), and ``--summary`` (metrics summary table on stderr); see
 README "Observability". ``tables`` additionally takes ``--jobs N``
-(suite execution on N worker processes), ``--cache-dir [DIR]``
-(content-addressed compile/profile cache), and ``--passes SPEC``
-(custom pre-optimization pipeline); see README "Pipeline
+(suite execution on N worker processes) and ``--cache-dir [DIR]``
+(content-addressed compile/profile cache); see README "Pipeline
 architecture". ``bench``/``report`` are the performance-tracking loop;
 see README "Performance tracking". ``run``, ``inline``, ``tables``,
 ``bench``, and ``check`` accept ``--engine counting|fast`` to pick the
@@ -171,10 +171,6 @@ def _cmd_inline(args: argparse.Namespace) -> int:
         source = handle.read()
     obs = _make_obs(args)
     module = compile_program(source, args.file, obs=obs)
-    if args.passes:
-        from repro.opt import optimize_module
-
-        optimize_module(module, obs=obs, pass_spec=args.passes)
     spec = _run_spec(args)
     profile = None
     if args.profile_file:
@@ -335,7 +331,6 @@ def _cmd_tables(args: argparse.Namespace) -> int:
         obs=obs,
         jobs=args.jobs,
         session=session,
-        pass_spec=args.passes,
         check=args.check,
         engine=args.engine,
     )
@@ -352,7 +347,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         scale=args.scale,
         names=args.benchmarks,
         jobs=args.jobs,
-        pass_spec=args.passes,
         params=InlineParameters(
             weight_threshold=args.threshold,
             size_limit_factor=args.growth,
@@ -449,7 +443,6 @@ def _cmd_report(args: argparse.Namespace) -> int:
         load_trace,
         render_comparison_table,
         render_flamegraph,
-        render_html_report,
         render_markdown_report,
     )
 
@@ -466,8 +459,6 @@ def _cmd_report(args: argparse.Namespace) -> int:
         flame = render_flamegraph(load_trace(args.flame))
     if args.format == "markdown":
         text = render_markdown_report(comparison, flame=flame)
-    elif args.format == "html":
-        text = render_html_report(comparison, flame=flame)
     else:
         text = render_comparison_table(comparison, show_ok=args.show_ok)
         if flame:
@@ -523,13 +514,6 @@ def main(argv: list[str] | None = None) -> int:
     )
     inline_parser.add_argument("--threshold", type=float, default=10.0)
     inline_parser.add_argument("--growth", type=float, default=1.25)
-    inline_parser.add_argument(
-        "--passes",
-        default=None,
-        metavar="SPEC",
-        help="optimization pass spec to run before profiling,"
-        " e.g. 'fold,jumpopt' (default: none)",
-    )
     inline_parser.add_argument("--dump", action="store_true")
     inline_parser.add_argument(
         "--check",
@@ -623,15 +607,9 @@ def main(argv: list[str] | None = None) -> int:
         " (default DIR: .repro-cache)",
     )
     tables_parser.add_argument(
-        "--passes",
-        default=None,
-        metavar="SPEC",
-        help="pre-optimization pass spec, e.g. 'fold,copyprop,cse,jumpopt,dce'",
-    )
-    tables_parser.add_argument(
         "--check",
         action="store_true",
-        help="re-verify IL well-formedness after every pipeline pass",
+        help="re-verify IL well-formedness after every inline phase",
     )
     _add_engine_flag(tables_parser)
     _add_obs_flags(tables_parser)
@@ -668,7 +646,6 @@ def main(argv: list[str] | None = None) -> int:
         default=None,
         metavar="DIR",
     )
-    bench_parser.add_argument("--passes", default=None, metavar="SPEC")
     bench_parser.add_argument("--threshold", type=float, default=10.0)
     bench_parser.add_argument("--growth", type=float, default=1.25)
     bench_parser.add_argument(
@@ -757,7 +734,7 @@ def main(argv: list[str] | None = None) -> int:
     report_parser.add_argument(
         "--format",
         default="table",
-        choices=["table", "markdown", "html"],
+        choices=["table", "markdown"],
     )
     report_parser.add_argument(
         "--show-ok",

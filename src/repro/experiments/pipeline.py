@@ -207,14 +207,12 @@ def run_benchmark(
     params: InlineParameters | None = None,
     obs: Observability | None = None,
     session: CompilationSession | None = None,
-    pass_spec: str | None = None,
     check: bool = False,
     engine: str = "counting",
 ) -> BenchmarkResult:
     """Run the full experiment pipeline for one benchmark.
 
-    Compiles and pre-optimizes the benchmark (``pass_spec`` selects the
-    passes: ``None`` is the full five-pass set, ``""`` none at all),
+    Compiles and pre-optimizes the benchmark with the five-pass set,
     runs :func:`run_pipeline` over its inputs without post-inline
     optimization, checks outputs and classifies the inlined program's
     call sites. With a :class:`~repro.pipeline.session.CompilationSession`
@@ -236,15 +234,14 @@ def run_benchmark(
     with tracer.span("benchmark", name=benchmark.name, scale=scale) as attrs:
         if session is not None:
             with tracer.span("benchmark.compile", name=benchmark.name):
-                module = session.compile_benchmark(
-                    benchmark, pass_spec=pass_spec, obs=obs
+                module = session.compiled_module(
+                    benchmark.source, f"{benchmark.name}.c", obs=obs
                 )
         else:
             with tracer.span("benchmark.compile", name=benchmark.name):
                 module = benchmark.compile(obs=obs)
-            if pass_spec != "":
-                with tracer.span("benchmark.optimize", name=benchmark.name):
-                    optimize_module(module, obs=obs, pass_spec=pass_spec)
+            with tracer.span("benchmark.optimize", name=benchmark.name):
+                optimize_module(module, obs=obs)
         specs = benchmark.make_runs(scale)
         run = run_pipeline(
             module, specs, params, session=session, check=check, obs=obs,
@@ -454,7 +451,6 @@ def run_suite(
     obs: Observability | None = None,
     jobs: int = 1,
     session: CompilationSession | None = None,
-    pass_spec: str | None = None,
     check: bool = False,
     engine: str = "counting",
 ) -> list[BenchmarkResult]:
@@ -482,10 +478,7 @@ def run_suite(
         enable_console_logging()
     obs = resolve(obs)
     selected = [benchmark.name for benchmark in select_benchmarks(names)]
-    options = dict(
-        scale=scale, params=params, pass_spec=pass_spec, check=check,
-        engine=engine,
-    )
+    options = dict(scale=scale, params=params, check=check, engine=engine)
     if jobs > 1 and session is not None:
         # Ship the session as its picklable spec; the live object holds
         # locks and caches that cannot cross the process boundary.

@@ -34,15 +34,7 @@ from repro.il.instructions import Instr, Opcode, is_terminator
 from repro.il.module import ILModule
 
 
-def verify_function_local(function: ILFunction) -> None:
-    """The function-local subset of :func:`verify_function`.
-
-    Everything that needs no enclosing module: label resolution and
-    duplicate-label rejection, RET arity vs. the signature, frame-slot
-    layout consistency, CFG def-before-use, and the trailing
-    terminator. This is what the ``verify`` pass runs inside
-    function-level pipelines (e.g. ``--passes 'fold,verify,dce'``).
-    """
+def verify_function(module: ILModule, function: ILFunction) -> None:
     labels = function.label_indices()  # raises on duplicate labels
     for instr in function.body:
         for label in instr.labels_used():
@@ -64,10 +56,6 @@ def verify_function_local(function: ILFunction) -> None:
     _verify_def_before_use(function, labels)
     if not function.body or not is_terminator(function.body[-1]):
         raise ILError(f"{function.name}: function may fall off the end")
-
-
-def verify_function(module: ILModule, function: ILFunction) -> None:
-    verify_function_local(function)
 
     for instr in function.body:
         if instr.op is Opcode.FRAME:

@@ -8,7 +8,7 @@ schema-versioned :class:`BenchRecord` — per-benchmark dynamic
 instruction counts and VM :class:`~repro.vm.counters.Counters`, code
 sizes, per-phase and per-pass wall time (from
 :class:`~repro.observability.Tracer` spans and the
-:class:`~repro.pipeline.manager.PassManager` metrics),
+``pipeline.pass.*`` metrics of :func:`pass_timings`),
 ``pipeline.cache.*`` hit rates, and inline-audit reason-code rollups —
 stamped with timestamp, git SHA, and run configuration. Records are
 written as ``BENCH_<config>.json`` files (repo root by convention).
@@ -22,7 +22,7 @@ written as ``BENCH_<config>.json`` files (repo root by convention).
   they only regress beyond a configurable ``time_tolerance`` and by
   default do not affect the comparison's exit status.
 
-Rendering of comparisons (terminal table, markdown/HTML report, text
+Rendering of comparisons (terminal table, markdown report, text
 flamegraph) lives in :mod:`repro.observability.report`.
 """
 
@@ -91,6 +91,37 @@ def collect_phase_seconds(tracer) -> dict[str, dict]:
         entry["seconds"] = round(entry["seconds"] + record["seconds"], 6)
         entry["count"] += 1
     return phases
+
+
+def pass_timings(metrics) -> dict[str, dict]:
+    """Per-pass wall-time attribution in a stable, JSON-ready schema.
+
+    Reads the ``pipeline.pass.<name>.seconds`` histograms and
+    ``pipeline.pass.<name>.changes`` counters that the optimizer passes
+    and the inliner phases report into a live
+    :class:`~repro.observability.MetricsRegistry` and returns
+    ``{pass_name: {"seconds", "invocations", "changes", "p50", "p90",
+    "p99"}}``. Consumers (bench records, performance reports) rely on
+    exactly these keys.
+    """
+    snapshot = metrics.snapshot()
+    timings: dict[str, dict] = {}
+    prefix, suffix = "pipeline.pass.", ".seconds"
+    for name, stats in snapshot["histograms"].items():
+        if not (name.startswith(prefix) and name.endswith(suffix)):
+            continue
+        pass_name = name[len(prefix) : -len(suffix)]
+        timings[pass_name] = {
+            "seconds": stats["total"],
+            "invocations": stats["count"],
+            "changes": snapshot["counters"].get(
+                f"{prefix}{pass_name}.changes", 0
+            ),
+            "p50": stats.get("p50", stats["mean"]),
+            "p90": stats.get("p90", stats["max"]),
+            "p99": stats.get("p99", stats["max"]),
+        }
+    return timings
 
 
 def _benchmark_payload(result) -> dict:
@@ -215,8 +246,6 @@ def record_from_results(
     timestamp: float | None = None,
 ) -> BenchRecord:
     """Build a record from ``run_suite`` results plus their live obs."""
-    from repro.pipeline.manager import pass_timings
-
     benchmarks = {result.name: _benchmark_payload(result) for result in results}
     audit_total: dict[str, int] = {}
     for data in benchmarks.values():
@@ -244,7 +273,6 @@ class BenchRecorder:
         scale: str = "small",
         names: list[str] | None = None,
         jobs: int = 1,
-        pass_spec: str | None = None,
         params=None,
         cache_dir: str | None = None,
         engine: str = "counting",
@@ -253,7 +281,6 @@ class BenchRecorder:
         self.scale = scale
         self.names = names
         self.jobs = jobs
-        self.pass_spec = pass_spec
         self.params = params
         self.cache_dir = cache_dir
         self.engine = engine
@@ -267,7 +294,6 @@ class BenchRecorder:
             "scale": self.scale,
             "benchmarks": self.names,
             "jobs": self.jobs,
-            "pass_spec": self.pass_spec,
             "engine": self.engine,
             "threshold": params.weight_threshold,
             "size_limit_factor": params.size_limit_factor,
@@ -298,7 +324,6 @@ class BenchRecorder:
             obs=obs,
             jobs=self.jobs,
             session=session,
-            pass_spec=self.pass_spec,
             engine=self.engine,
         )
         wall = time.perf_counter() - start

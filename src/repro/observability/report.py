@@ -4,10 +4,9 @@ Three output shapes over :mod:`repro.observability.bench` data:
 
 - :func:`render_comparison_table` — an aligned terminal table of the
   classified deltas (regressions first);
-- :func:`render_markdown_report` / :func:`render_html_report` — a full
-  performance report: verdict, regression/improvement tables, per-pass
-  and per-phase wall-time attribution, cache hit rates, and the
-  inline-audit reason rollup;
+- :func:`render_markdown_report` — a full performance report: verdict,
+  regression/improvement tables, per-pass and per-phase wall-time
+  attribution, cache hit rates, and the inline-audit reason rollup;
 - :func:`render_flamegraph` — a text flamegraph built from a trace's
   JSONL span tree (the files ``--trace`` writes), siblings of the same
   name merged, bar widths proportional to root wall time.
@@ -15,7 +14,6 @@ Three output shapes over :mod:`repro.observability.bench` data:
 
 from __future__ import annotations
 
-import html
 import json
 
 from repro.observability.bench import BenchComparison, BenchRecord, MetricDelta
@@ -99,7 +97,7 @@ def render_comparison_table(
 
 
 # ----------------------------------------------------------------------
-# markdown / HTML
+# markdown
 
 
 def _markdown_table(headers: list[str], rows: list[list[str]]) -> str:
@@ -265,72 +263,6 @@ def render_markdown_report(
     if flame:
         parts += ["", "## Flamegraph", "", "```", flame.rstrip("\n"), "```"]
     return "\n".join(parts) + "\n"
-
-
-def render_html_report(
-    comparison: BenchComparison, flame: str | None = None
-) -> str:
-    """The markdown report wrapped as a minimal standalone HTML page.
-
-    Markdown tables become ``<table>`` elements; everything else is
-    escaped prose, so the file opens cleanly in any browser without
-    external assets.
-    """
-    markdown = render_markdown_report(comparison, flame=flame)
-    out = [
-        "<!doctype html>",
-        "<html><head><meta charset='utf-8'>",
-        "<title>Performance report</title>",
-        "<style>body{font-family:sans-serif;margin:2em}"
-        "table{border-collapse:collapse}"
-        "td,th{border:1px solid #999;padding:2px 8px;text-align:left}"
-        "pre{background:#f4f4f4;padding:1em}</style>",
-        "</head><body>",
-    ]
-    in_table = False
-    in_code = False
-    for line in markdown.splitlines():
-        if line.startswith("```"):
-            out.append("<pre>" if not in_code else "</pre>")
-            in_code = not in_code
-            continue
-        if in_code:
-            out.append(html.escape(line))
-            continue
-        if line.startswith("|"):
-            cells = [cell.strip() for cell in line.strip("|").split("|")]
-            if all(set(cell) <= {"-"} for cell in cells):
-                continue
-            if not in_table:
-                out.append("<table>")
-                tag = "th"
-                in_table = True
-            else:
-                tag = "td"
-            out.append(
-                "<tr>"
-                + "".join(f"<{tag}>{html.escape(c)}</{tag}>" for c in cells)
-                + "</tr>"
-            )
-            continue
-        if in_table:
-            out.append("</table>")
-            in_table = False
-        if line.startswith("# "):
-            out.append(f"<h1>{html.escape(line[2:])}</h1>")
-        elif line.startswith("## "):
-            out.append(f"<h2>{html.escape(line[3:])}</h2>")
-        elif line.strip():
-            text = html.escape(line)
-            while "**" in text:
-                text = text.replace("**", "<strong>", 1).replace(
-                    "**", "</strong>", 1
-                )
-            out.append(f"<p>{text}</p>")
-    if in_table:
-        out.append("</table>")
-    out.append("</body></html>")
-    return "\n".join(out) + "\n"
 
 
 # ----------------------------------------------------------------------

@@ -1,51 +1,87 @@
-"""The optimization pipeline (thin wrapper over the PassManager).
+"""The optimization pipeline: one fixed five-pass loop.
 
 Runs fold → copy-propagate → cse → jump-optimize → DCE rounds until a
-round changes nothing (or the round limit hits). The paper applies
+round changes nothing (or :data:`MAX_ROUNDS` hits). The paper applies
 constant folding and jump optimization before inlining and recommends
 the full set afterwards (§4.4); callers choose where in their pipeline
 to invoke this.
-
-The pass order itself now lives in :mod:`repro.pipeline`: the default
-spec is :data:`repro.pipeline.passes.DEFAULT_OPT_SPEC`, and both
-entry points accept a ``pass_spec`` string (e.g.
-``"fold,copyprop,dce"``) to run a custom pipeline.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
+
 from repro.il.function import ILFunction
 from repro.il.module import ILModule
 from repro.observability import resolve
-from repro.pipeline.manager import PassManager, PassStats
+from repro.opt.constant_fold import fold_constants
+from repro.opt.copy_prop import propagate_copies
+from repro.opt.cse import eliminate_common_subexpressions
+from repro.opt.dce import eliminate_dead_code
+from repro.opt.jump_opt import optimize_jumps
+from repro.pipeline.passes import run_timed
 
-#: Back-compat name: per-pass change counts accumulated over all rounds.
-OptimizationStats = PassStats
+#: The five passes in the order every round runs them.
+PASSES = (
+    ("constant-fold", fold_constants),
+    ("copy-propagate", propagate_copies),
+    ("cse", eliminate_common_subexpressions),
+    ("jump-optimize", optimize_jumps),
+    ("dead-code", eliminate_dead_code),
+)
+
+#: Upper bound on the rounds one function gets.
+MAX_ROUNDS = 8
 
 
-def optimize_function(
-    function: ILFunction, max_rounds: int = 8, pass_spec: str | None = None
-) -> PassStats:
-    """Optimize one function in place to a fixpoint."""
-    return PassManager.from_spec(pass_spec).run_function(function, max_rounds)
+@dataclass
+class OptimizationStats:
+    """Per-pass change counts accumulated over all rounds."""
+
+    rounds: int = 0
+    by_pass: dict[str, int] = field(default_factory=dict)
+
+    @property
+    def total_changes(self) -> int:
+        return sum(self.by_pass.values())
 
 
-def optimize_module(
-    module: ILModule, max_rounds: int = 8, obs=None, pass_spec: str | None = None
-) -> PassStats:
+def optimize_function(function: ILFunction, obs=None) -> OptimizationStats:
+    """Optimize one function in place to a fixpoint.
+
+    With a live ``obs`` each pass invocation reports its wall time as
+    ``pipeline.pass.<name>.seconds`` and its changes as
+    ``pipeline.pass.<name>.changes``.
+    """
+    metrics = resolve(obs).metrics
+    stats = OptimizationStats()
+    for _ in range(MAX_ROUNDS):
+        round_changes = 0
+        for name, fn in PASSES:
+            count = run_timed(name, fn, function, metrics)
+            stats.by_pass[name] = stats.by_pass.get(name, 0) + count
+            round_changes += count
+        stats.rounds += 1
+        if round_changes == 0:
+            break
+    return stats
+
+
+def optimize_module(module: ILModule, obs=None) -> OptimizationStats:
     """Optimize every function of the module in place.
 
     ``obs`` is an optional :class:`repro.observability.Observability`;
     when given, per-pass change counts and the phase's wall time are
-    reported into it. ``pass_spec`` selects a custom pipeline
-    (default: the full five-pass set).
+    reported into it.
     """
     obs = resolve(obs)
-    manager = PassManager.from_spec(pass_spec)
-    total = PassStats()
+    total = OptimizationStats()
     with obs.tracer.span("opt.module", functions=len(module.functions)) as attrs:
         for function in module.functions.values():
-            total.merge(manager.run_function(function, max_rounds, obs=obs))
+            stats = optimize_function(function, obs)
+            total.rounds = max(total.rounds, stats.rounds)
+            for name, count in stats.by_pass.items():
+                total.by_pass[name] = total.by_pass.get(name, 0) + count
         attrs["changes"] = total.total_changes
     if obs.metrics.enabled:
         for name, count in total.by_pass.items():

@@ -1,287 +1,64 @@
-"""First-class pipeline passes and the global pass registry.
+"""The unit the §3 inline-expansion phases run as, and pass timing.
 
-Every transformation the compiler applies — the five ``opt/`` passes
-and the six inline-expansion phases of §3 — is registered here as a
-:class:`Pass`: a named unit with a level (``function`` passes rewrite
-one :class:`~repro.il.function.ILFunction`; ``module`` passes see the
-whole :class:`~repro.il.module.ILModule` plus the shared
-:class:`PassContext` state), a ``run`` method returning a change count,
-and the metric names it reports under.
-
-Pipelines are described by comma-separated spec strings such as
-``"fold,copyprop,cse,jumpopt,dce"`` (short aliases) or the canonical
-names (``"constant-fold,copy-propagate,..."``); :func:`parse_pass_spec`
-resolves either form and rejects unknown names with the full menu.
-
-Registration is lazy so this module never imports the transformation
-modules at import time (they import the pipeline package back).
+:class:`~repro.inliner.manager.InlineExpander` runs its six phases
+(``callgraph → classify → linearize → select → expand → cleanup``) in
+order, each a :class:`ModulePass` over one shared :class:`PassContext`.
+Both they and the five optimizer passes of :mod:`repro.opt.pipeline`
+run through :func:`run_timed`.
 """
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Protocol, runtime_checkable
+from typing import Any, Callable
 
 from repro.observability import NULL_OBS, Observability
 
-#: The classic post-inline cleanup pipeline (§4.4's "full set").
-DEFAULT_OPT_SPEC = "constant-fold,copy-propagate,cse,jump-optimize,dead-code"
 
-#: The §3 inline-expansion phase order.
-INLINE_PHASE_SPEC = "callgraph,classify,linearize,select,expand,cleanup"
+def run_timed(name: str, fn: Callable[[Any], int], arg, metrics) -> int:
+    """Run one pass invocation ``fn(arg)`` and return its change count.
+
+    With live ``metrics`` its wall time goes to the
+    ``pipeline.pass.<name>.seconds`` histogram and a non-zero count to
+    the ``pipeline.pass.<name>.changes`` counter.
+    """
+    if not metrics.enabled:
+        return fn(arg)
+    start = time.perf_counter()
+    count = fn(arg)
+    metrics.observe(f"pipeline.pass.{name}.seconds", time.perf_counter() - start)
+    if count:
+        metrics.inc(f"pipeline.pass.{name}.changes", count)
+    return count
 
 
 @dataclass
 class PassContext:
-    """Everything a pass may need, plus the inter-pass scratch state.
+    """Everything a phase may need, plus the inter-phase scratch state.
 
-    Module-level passes communicate through ``state``: the callgraph
-    phase deposits ``state["graph"]``, linearization ``state["sequence"]``,
-    selection ``state["selection"]``, expansion ``state["records"]``, and
-    cleanup ``state["removed"]`` — mirroring the §3 dataflow.
+    Phases communicate through ``state``: the callgraph phase deposits
+    ``state["graph"]``, linearization ``state["sequence"]``, selection
+    ``state["selection"]``, expansion ``state["records"]``, and cleanup
+    ``state["removed"]`` — mirroring the §3 dataflow.
     """
 
     module: Any = None
-    function: Any = None
     profile: Any = None
     params: Any = None
     seed: int = 0
     linearize_method: str = "hybrid"
-    #: When set, the PassManager re-verifies the module's IL
-    #: well-formedness after every pass (the ``--check`` mode).
-    check: bool = False
     obs: Observability = field(default_factory=lambda: NULL_OBS)
     state: dict[str, Any] = field(default_factory=dict)
 
 
-@runtime_checkable
-class Pass(Protocol):
-    """What the :class:`~repro.pipeline.manager.PassManager` drives."""
-
-    name: str
-    level: str  # "function" | "module"
-    metrics: tuple[str, ...]
-
-    def run(self, ctx: PassContext) -> int:
-        """Apply the pass; return the number of changes made."""
-        ...
-
-
-@dataclass(frozen=True)
-class FunctionPass:
-    """A pass over one function (``ctx.function``)."""
-
-    name: str
-    fn: Callable[[Any], int]
-    metrics: tuple[str, ...] = ()
-    level: str = "function"
-
-    def run(self, ctx: PassContext) -> int:
-        return self.fn(ctx.function)
-
-
 @dataclass(frozen=True)
 class ModulePass:
-    """A pass over the whole module and the shared context state.
-
-    ``span`` names the tracer span the manager opens around the pass
-    (kept identical to the historical ``inline.*`` phase spans);
-    ``span_attrs`` supplies attributes known at span-open time and
-    ``result_attr`` names the attribute that receives the change count.
-    """
+    """One named phase over the whole module and the shared context."""
 
     name: str
     fn: Callable[[PassContext], int]
-    metrics: tuple[str, ...] = ()
-    span: str | None = None
-    span_attrs: Callable[[PassContext], dict] | None = None
-    result_attr: str | None = None
-    level: str = "module"
 
     def run(self, ctx: PassContext) -> int:
+        """Apply the phase; return the number of changes made."""
         return self.fn(ctx)
-
-
-_REGISTRY: dict[str, Pass] = {}
-_ALIASES: dict[str, str] = {}
-_REGISTERED = False
-
-
-def register_pass(pass_: Pass, aliases: tuple[str, ...] = ()) -> Pass:
-    """Add a pass (and optional short aliases) to the global registry."""
-    if pass_.name in _REGISTRY:
-        raise ValueError(f"pass {pass_.name!r} is already registered")
-    _REGISTRY[pass_.name] = pass_
-    for alias in aliases:
-        _ALIASES[alias] = pass_.name
-    return pass_
-
-
-def available_passes() -> list[str]:
-    """Canonical names of every registered pass, sorted."""
-    _ensure_registered()
-    return sorted(_REGISTRY)
-
-
-def get_pass(name: str) -> Pass:
-    """Look up one pass by canonical name or alias."""
-    _ensure_registered()
-    canonical = _ALIASES.get(name, name)
-    try:
-        return _REGISTRY[canonical]
-    except KeyError:
-        raise ValueError(
-            f"unknown pass {name!r}; available:"
-            f" {', '.join(available_passes())}"
-            f" (aliases: {', '.join(sorted(_ALIASES))})"
-        ) from None
-
-
-def parse_pass_spec(spec: str) -> list[Pass]:
-    """Parse ``"fold,copyprop,dce"`` into a pass list (order preserved)."""
-    names = [name.strip() for name in spec.split(",") if name.strip()]
-    if not names:
-        raise ValueError(f"empty pass spec {spec!r}")
-    return [get_pass(name) for name in names]
-
-
-# ----------------------------------------------------------------------
-# Built-in pass registration (lazy: transformation modules import us back)
-
-
-def _ensure_registered() -> None:
-    global _REGISTERED
-    if _REGISTERED:
-        return
-    _REGISTERED = True
-
-    from repro.opt.constant_fold import fold_constants
-    from repro.opt.copy_prop import propagate_copies
-    from repro.opt.cse import eliminate_common_subexpressions
-    from repro.opt.dce import eliminate_dead_code
-    from repro.opt.jump_opt import optimize_jumps
-
-    register_pass(
-        FunctionPass("constant-fold", fold_constants,
-                     metrics=("pipeline.pass.constant-fold.changes",)),
-        aliases=("fold",),
-    )
-    register_pass(
-        FunctionPass("copy-propagate", propagate_copies,
-                     metrics=("pipeline.pass.copy-propagate.changes",)),
-        aliases=("copyprop",),
-    )
-    register_pass(
-        FunctionPass("cse", eliminate_common_subexpressions,
-                     metrics=("pipeline.pass.cse.changes",)),
-    )
-    register_pass(
-        FunctionPass("jump-optimize", optimize_jumps,
-                     metrics=("pipeline.pass.jump-optimize.changes",)),
-        aliases=("jumpopt",),
-    )
-    register_pass(
-        FunctionPass("dead-code", eliminate_dead_code,
-                     metrics=("pipeline.pass.dead-code.changes",)),
-        aliases=("dce",),
-    )
-
-    from repro.callgraph.build import build_call_graph
-    from repro.callgraph.graph import ArcStatus
-    from repro.callgraph.reachability import eliminate_unreachable
-    from repro.inliner.classify import classify_sites
-    from repro.inliner.expand import expand_call_site
-    from repro.inliner.linearize import linearize
-    from repro.inliner.select import select_sites
-
-    def _phase_callgraph(ctx: PassContext) -> int:
-        graph = build_call_graph(ctx.module, ctx.profile, obs=ctx.obs)
-        ctx.state["graph"] = graph
-        return 0
-
-    def _phase_classify(ctx: PassContext) -> int:
-        ctx.state["classified"] = classify_sites(
-            ctx.module, ctx.state["graph"], ctx.profile, ctx.params
-        )
-        return 0
-
-    def _phase_linearize(ctx: PassContext) -> int:
-        sequence = linearize(
-            ctx.module, ctx.profile, ctx.seed, ctx.linearize_method
-        )
-        ctx.state["sequence"] = sequence
-        return 0
-
-    def _phase_select(ctx: PassContext) -> int:
-        selection = select_sites(
-            ctx.module,
-            ctx.state["graph"],
-            ctx.profile,
-            ctx.state["sequence"],
-            ctx.params,
-            seed=ctx.seed,
-            obs=ctx.obs,
-        )
-        ctx.state["selection"] = selection
-        return len(selection.selected)
-
-    def _phase_expand(ctx: PassContext) -> int:
-        # Physical expansion follows the linear sequence: every selected
-        # arc whose caller is the current function is expanded, so each
-        # callee is final before anyone inlines it (minimal expansions,
-        # §2.7).
-        by_caller: dict[str, list] = {}
-        for arc in ctx.state["selection"].selected:
-            by_caller.setdefault(arc.caller, []).append(arc)
-        records = ctx.state.setdefault("records", [])
-        for name in ctx.state["sequence"]:
-            for arc in by_caller.get(name, ()):
-                records.append(expand_call_site(ctx.module, arc.caller, arc.site))
-                arc.status = ArcStatus.EXPANDED
-        # Snapshot the post-expansion size before cleanup removes
-        # unreachable bodies: this is the number the selection's
-        # projected_size must reproduce exactly.
-        ctx.state["pre_cleanup_size"] = ctx.module.total_code_size()
-        return len(records)
-
-    def _phase_cleanup(ctx: PassContext) -> int:
-        removed = eliminate_unreachable(ctx.module, build_call_graph(ctx.module))
-        ctx.state["removed"] = removed
-        return len(removed)
-
-    register_pass(ModulePass("callgraph", _phase_callgraph,
-                             span="inline.callgraph"))
-    register_pass(ModulePass("classify", _phase_classify,
-                             span="inline.classify"))
-    register_pass(ModulePass(
-        "linearize", _phase_linearize, span="inline.linearize",
-        span_attrs=lambda ctx: {"method": ctx.linearize_method},
-    ))
-    register_pass(ModulePass(
-        "select", _phase_select, span="inline.select",
-        metrics=("pipeline.pass.select.changes",),
-    ))
-    register_pass(ModulePass(
-        "expand", _phase_expand, span="inline.expand",
-        metrics=("pipeline.pass.expand.changes",),
-        result_attr="expansions",
-    ))
-    register_pass(ModulePass(
-        "cleanup", _phase_cleanup, span="inline.cleanup",
-        metrics=("pipeline.pass.cleanup.changes",),
-        result_attr="removed_functions",
-    ))
-
-    from repro.il.verifier import verify_function_local
-
-    def _verify_pass(function) -> int:
-        # Function-level so it splices into any pipeline, including the
-        # optimizer's (--passes 'fold,verify,dce'). Full module-wide
-        # verification (call targets, site-id uniqueness) runs under
-        # --check and inside InlineExpander.
-        verify_function_local(function)
-        return 0
-
-    register_pass(
-        FunctionPass("verify", _verify_pass), aliases=("check",)
-    )

@@ -3,10 +3,9 @@
 A session maps stable hash keys to the two expensive artifacts of the
 experiment pipeline:
 
-- **compiled modules**, keyed over (source text, defines, ``link_libc``,
-  pre-optimization pass spec, entry) — the cached module already has the
-  pass pipeline applied, and lookups return a :meth:`~repro.il.module.
-  ILModule.clone` so callers can mutate freely;
+- **compiled modules**, keyed over the source text — the cached module
+  is already pre-optimized with the five-pass set, and lookups return a
+  :meth:`~repro.il.module.ILModule.clone` so callers can mutate freely;
 - **profiles**, keyed over (module content, input fingerprints) — the
   module content key covers every instruction (including call-site
   ids), so a profile is only ever replayed against the exact code it
@@ -71,25 +70,9 @@ def _digest(payload: Any) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def module_cache_key(
-    source: str,
-    defines: dict[str, str] | None = None,
-    link_libc: bool = True,
-    pass_spec: str | None = None,
-    entry: str = "main",
-) -> str:
-    """The content-addressed key of a compiled (and pre-optimized) module."""
-    return _digest(
-        {
-            "format": CACHE_FORMAT,
-            "kind": "module",
-            "source": source,
-            "defines": sorted((defines or {}).items()),
-            "link_libc": link_libc,
-            "pass_spec": pass_spec or "",
-            "entry": entry,
-        }
-    )
+def module_cache_key(source: str) -> str:
+    """The content-addressed key of a compiled, pre-optimized module."""
+    return _digest({"format": CACHE_FORMAT, "kind": "module", "source": source})
 
 
 def module_content_key(module) -> str:
@@ -302,58 +285,23 @@ class CompilationSession:
         self,
         source: str,
         filename: str = "<input>",
-        defines: dict[str, str] | None = None,
-        link_libc: bool = True,
-        entry: str = "main",
-        pass_spec: str | None = None,
         obs: Observability | None = None,
     ):
-        """Compile (and pre-optimize, when ``pass_spec`` is set) once.
+        """Compile and pre-optimize (the five-pass set) once.
 
         Returns a clone of the cached module, so the caller owns it.
-        An empty-string ``pass_spec`` means "no pre-optimization";
-        any other spec is run through the
-        :class:`~repro.pipeline.manager.PassManager` to fixpoint.
         """
         obs = resolve(obs if obs is not None else self._obs)
-        key = module_cache_key(source, defines, link_libc, pass_spec, entry)
+        key = module_cache_key(source)
         cached = self._lookup(self._modules, "module", key, obs)
         if cached is None:
             from repro.compiler import compile_program
             from repro.opt import optimize_module
 
-            cached = compile_program(
-                source,
-                filename,
-                defines=defines,
-                link_libc=link_libc,
-                entry=entry,
-                obs=obs,
-            )
-            if pass_spec:
-                optimize_module(cached, obs=obs, pass_spec=pass_spec)
+            cached = compile_program(source, filename, obs=obs)
+            optimize_module(cached, obs=obs)
             self._store(self._modules, "module", key, cached, obs)
         return cached.clone()
-
-    def compile_benchmark(
-        self,
-        benchmark,
-        pass_spec: str | None = None,
-        obs: Observability | None = None,
-    ):
-        """Cached compile of one suite benchmark.
-
-        ``pass_spec`` is the pre-optimization pipeline: ``None`` means
-        the full five-pass set, ``""`` no pre-optimization.
-        """
-        from repro.pipeline.passes import DEFAULT_OPT_SPEC
-
-        return self.compiled_module(
-            benchmark.source,
-            filename=f"{benchmark.name}.c",
-            pass_spec=pass_spec if pass_spec is not None else DEFAULT_OPT_SPEC,
-            obs=obs,
-        )
 
     def profile(
         self,

@@ -13,15 +13,14 @@ from repro.observability.bench import (
     collect_phase_seconds,
     compare,
     load_record,
+    pass_timings,
 )
 from repro.observability.report import (
     load_trace,
     render_comparison_table,
     render_flamegraph,
-    render_html_report,
     render_markdown_report,
 )
-from repro.pipeline.manager import pass_timings
 
 
 @pytest.fixture(scope="module")
@@ -182,11 +181,6 @@ class TestRendering:
         assert "constant-fold" in text
         assert "Inline-audit reason rollup" in text
 
-    def test_html_report_is_standalone(self, record):
-        text = render_html_report(compare(record, record))
-        assert text.startswith("<!doctype html>")
-        assert "<table>" in text and "</html>" in text
-
 
 class TestFlamegraph:
     def test_renders_span_tree(self, tmp_path):
@@ -270,12 +264,12 @@ class TestBenchCli:
     def test_report_formats(self, tmp_path, capsys):
         record = BenchRecorder(config_name="fmt", names=["wc"]).run()
         path = record.write(str(tmp_path / "BENCH_fmt.json"))
-        out_path = tmp_path / "report.html"
+        out_path = tmp_path / "report.md"
         code = cli_main(
-            ["report", path, "--format", "html", "-o", str(out_path)]
+            ["report", path, "--format", "markdown", "-o", str(out_path)]
         )
         assert code == 0
-        assert out_path.read_text().startswith("<!doctype html>")
+        assert out_path.read_text().startswith("# Performance report")
         capsys.readouterr()
 
     def test_bench_jobs_flag_writes_record(self, tmp_path, capsys):

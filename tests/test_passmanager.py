@@ -1,22 +1,20 @@
-"""Tests for the unified pass registry and PassManager."""
+"""Tests for the two fixed pass sequences: the optimizer's five-pass
+fixpoint loop and the inliner's six §3 phases."""
 
 import pytest
 
 from repro.compiler import compile_program
+from repro.errors import ILError
+from repro.experiments.pipeline import run_suite
 from repro.il.printer import format_module
-from repro.inliner.manager import InlineExpander
+from repro.inliner import manager as inline_manager
+from repro.inliner.manager import PHASES, InlineExpander
 from repro.inliner.params import InlineParameters
 from repro.observability import Observability
-from repro.opt import OptimizationStats, optimize_function, optimize_module
-from repro.pipeline import (
-    DEFAULT_OPT_SPEC,
-    PassContext,
-    PassManager,
-    PassStats,
-    available_passes,
-    get_pass,
-    parse_pass_spec,
-)
+from repro.observability.bench import pass_timings
+from repro.opt import optimize_function, optimize_module
+from repro.opt.pipeline import MAX_ROUNDS, PASSES
+from repro.pipeline import ModulePass, PassContext
 from repro.profiler.profile import RunSpec, profile_module
 
 SOURCE = """
@@ -31,112 +29,69 @@ int main(void) {
 }
 """
 
+OPT_PASSES = [
+    "constant-fold", "copy-propagate", "cse", "jump-optimize", "dead-code",
+]
+PHASE_NAMES = ["callgraph", "classify", "linearize", "select", "expand", "cleanup"]
+
 
 def _fresh_module():
     return compile_program(SOURCE, "passmanager_test.c")
 
 
-class TestRegistry:
-    def test_all_builtin_passes_registered(self):
-        names = available_passes()
-        for expected in (
-            "constant-fold", "copy-propagate", "cse", "jump-optimize",
-            "dead-code", "callgraph", "classify", "linearize", "select",
-            "expand", "cleanup",
-        ):
-            assert expected in names
-
-    def test_pass_protocol_fields(self):
-        for name in available_passes():
-            pass_ = get_pass(name)
-            assert pass_.name == name
-            assert pass_.level in ("function", "module")
-            assert isinstance(pass_.metrics, tuple)
-
-    def test_aliases_resolve_to_canonical(self):
-        assert get_pass("fold").name == "constant-fold"
-        assert get_pass("copyprop").name == "copy-propagate"
-        assert get_pass("jumpopt").name == "jump-optimize"
-        assert get_pass("dce").name == "dead-code"
-
-    def test_parse_spec_order_preserved(self):
-        passes = parse_pass_spec("dce, fold ,cse")
-        assert [p.name for p in passes] == ["dead-code", "constant-fold", "cse"]
-
-    def test_unknown_pass_raises_with_menu(self):
-        with pytest.raises(ValueError, match="unknown pass 'bogus'"):
-            parse_pass_spec("fold,bogus")
-
-    def test_empty_spec_raises(self):
-        with pytest.raises(ValueError, match="empty pass spec"):
-            parse_pass_spec(" , ")
-
-
 class TestFunctionPipeline:
-    def test_default_spec_matches_optimize_module(self):
+    def test_five_pass_order(self):
+        assert [name for name, _ in PASSES] == OPT_PASSES
+        assert MAX_ROUNDS == 8
+
+    def test_optimize_function_matches_optimize_module(self):
         reference = _fresh_module()
         stats_ref = optimize_module(reference)
 
-        managed = _fresh_module()
-        manager = PassManager.from_spec(None)
-        total = PassStats()
-        for function in managed.functions.values():
-            total.merge(manager.run_function(function))
+        per_function = _fresh_module()
+        by_pass: dict[str, int] = {}
+        rounds = 0
+        for function in per_function.functions.values():
+            stats = optimize_function(function)
+            rounds = max(rounds, stats.rounds)
+            for name, count in stats.by_pass.items():
+                by_pass[name] = by_pass.get(name, 0) + count
 
-        assert format_module(managed) == format_module(reference)
-        assert total.by_pass == stats_ref.by_pass
-        assert total.rounds == stats_ref.rounds
-
-    def test_optimization_stats_is_pass_stats(self):
-        assert OptimizationStats is PassStats
-
-    def test_custom_spec_runs_only_named_passes(self):
-        module = _fresh_module()
-        stats = optimize_module(module, pass_spec="fold,dce")
-        assert set(stats.by_pass) == {"constant-fold", "dead-code"}
-
-    def test_optimize_function_spec(self):
-        module = _fresh_module()
-        stats = optimize_function(module.functions["main"], pass_spec="fold")
-        assert set(stats.by_pass) == {"constant-fold"}
-        assert stats.rounds >= 1
+        assert format_module(per_function) == format_module(reference)
+        assert by_pass == stats_ref.by_pass
+        assert list(stats_ref.by_pass) == OPT_PASSES
+        assert rounds == stats_ref.rounds
 
     def test_fixpoint_is_idempotent(self):
         module = _fresh_module()
-        optimize_module(module)
+        assert optimize_module(module).total_changes > 0
         again = optimize_module(module)
         assert again.total_changes == 0
-
-    def test_run_function_rejects_module_passes(self):
-        manager = PassManager([get_pass("callgraph")])
-        module = _fresh_module()
-        with pytest.raises(ValueError, match="module-level"):
-            manager.run_function(module.functions["main"])
+        assert again.rounds == 1
 
     def test_per_pass_metrics_reported(self):
         obs = Observability.create()
         module = _fresh_module()
-        optimize_module(module, obs=obs)
-        histograms = obs.metrics.snapshot()["histograms"]
-        assert any(
-            name.startswith("pipeline.pass.") and name.endswith(".seconds")
-            for name in histograms
-        )
+        stats = optimize_module(module, obs=obs)
+        snapshot = obs.metrics.snapshot()
+        for name in OPT_PASSES:
+            assert f"pipeline.pass.{name}.seconds" in snapshot["histograms"]
+            assert snapshot["counters"].get(f"opt.changes.{name}", 0) == (
+                stats.by_pass[name]
+            )
+        assert snapshot["counters"]["opt.modules_optimized"] == 1
 
 
 class TestInlinePhases:
     def test_phases_populate_context_state(self):
+        assert [phase.name for phase in PHASES] == PHASE_NAMES
         module = _fresh_module()
         profile = profile_module(module, [RunSpec()])
         ctx = PassContext(
             module=module.clone(), profile=profile, params=InlineParameters()
         )
-        manager = PassManager(
-            [get_pass(n) for n in ("callgraph", "classify", "linearize",
-                                   "select", "expand", "cleanup")],
-            fixpoint=False,
-        )
-        manager.run_module(ctx.module, ctx)
+        for phase in PHASES:
+            phase.run(ctx)
         assert "graph" in ctx.state
         assert "main" in ctx.state["sequence"]
         assert ctx.state["selection"].selected
@@ -145,29 +100,64 @@ class TestInlinePhases:
     def test_expander_equivalent_to_manual_phases(self):
         module = _fresh_module()
         profile = profile_module(module, [RunSpec()])
+        ctx = PassContext(
+            module=module.clone(), profile=profile, params=InlineParameters()
+        )
+        for phase in PHASES:
+            phase.run(ctx)
         result = InlineExpander(module, profile).run()
-        assert result.records
+        assert format_module(result.module) == format_module(ctx.module)
         assert result.module.total_code_size() == result.final_size
-        # The §3 phase spans still appear under their historical names.
+        # Each phase runs in its inline.<phase> span, with the
+        # historical attributes.
         obs = Observability.create()
         InlineExpander(module, profile, obs=obs).run()
-        span_names = {
-            r["name"] for r in obs.tracer.records if r["type"] == "span"
+        spans = {
+            r["name"]: r.get("attrs", {})
+            for r in obs.tracer.records
+            if r["type"] == "span"
         }
-        for expected in (
-            "inline.callgraph", "inline.classify", "inline.linearize",
-            "inline.select", "inline.expand", "inline.cleanup",
-        ):
-            assert expected in span_names
+        for name in PHASE_NAMES:
+            assert f"inline.{name}" in spans
+        assert spans["inline.linearize"] == {"method": "hybrid"}
+        assert spans["inline.expand"] == {"expansions": len(result.records)}
+        assert spans["inline.cleanup"] == {
+            "removed_functions": len(result.removed_functions)
+        }
 
-
-class TestSpecConstants:
-    def test_default_opt_spec_parses(self):
-        assert [p.name for p in parse_pass_spec(DEFAULT_OPT_SPEC)] == [
-            "constant-fold", "copy-propagate", "cse", "jump-optimize",
-            "dead-code",
+    def test_check_verifies_after_every_phase(self):
+        module = _fresh_module()
+        profile = profile_module(module, [RunSpec()])
+        obs = Observability.create()
+        InlineExpander(module, profile, check=True, obs=obs).run()
+        assert obs.metrics.counters["verify.pass_checks"] == len(PHASES)
+        checked = [
+            r["attrs"]["pass_name"]
+            for r in obs.tracer.records
+            if r["type"] == "span" and r["name"] == "verify.after_pass"
         ]
+        assert checked == PHASE_NAMES
 
-    def test_manager_spec_roundtrip(self):
-        manager = PassManager.from_spec("fold,dce")
-        assert manager.spec == "constant-fold,dead-code"
+    def test_check_names_the_phase_that_breaks_il(self, monkeypatch):
+        def vandalize(ctx):
+            ctx.module.functions["main"].body.clear()  # falls off the end
+            return 1
+
+        planted = PHASES[:5] + (ModulePass("vandal", vandalize),) + PHASES[5:]
+        monkeypatch.setattr(inline_manager, "PHASES", planted)
+        module = _fresh_module()
+        profile = profile_module(module, [RunSpec()])
+        with pytest.raises(ILError, match="after pass 'vandal'"):
+            InlineExpander(module, profile, check=True).run()
+        # Without --check the final verification still rejects the
+        # module, but cannot say which phase broke it.
+        with pytest.raises(ILError) as info:
+            InlineExpander(module, profile).run()
+        assert "vandal" not in str(info.value)
+
+
+class TestPassTimings:
+    def test_pass_timings_names_after_suite_run(self):
+        obs = Observability.create()
+        run_suite("small", names=["wc"], obs=obs)
+        assert set(pass_timings(obs.metrics)) == set(OPT_PASSES + PHASE_NAMES)

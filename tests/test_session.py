@@ -4,6 +4,7 @@ import os
 
 import pytest
 
+from repro.compiler import compile_program
 from repro.il.printer import format_module
 from repro.observability import Observability
 from repro.pipeline import (
@@ -14,6 +15,7 @@ from repro.pipeline import (
 )
 from repro.experiments.pipeline import run_pipeline
 from repro.inliner.params import InlineParameters
+from repro.opt import optimize_module
 from repro.pipeline import session as session_module
 from repro.pipeline.session import CACHE_FORMAT
 from repro.profiler.profile import RunSpec
@@ -44,12 +46,9 @@ def _cache_counters(obs):
 
 class TestKeys:
     def test_module_key_stable_and_sensitive(self):
-        key = module_cache_key(SOURCE, None, True, "fold", "main")
-        assert key == module_cache_key(SOURCE, None, True, "fold", "main")
-        assert key != module_cache_key(SOURCE + " ", None, True, "fold", "main")
-        assert key != module_cache_key(SOURCE, {"N": "2"}, True, "fold", "main")
-        assert key != module_cache_key(SOURCE, None, False, "fold", "main")
-        assert key != module_cache_key(SOURCE, None, True, "dce", "main")
+        key = module_cache_key(SOURCE)
+        assert key == module_cache_key(SOURCE)
+        assert key != module_cache_key(SOURCE + " ")
 
     def test_content_key_tracks_code_changes(self):
         session = CompilationSession()
@@ -236,12 +235,8 @@ class TestCrossProcessSafety:
 
 
 class TestPreOptimizedCaching:
-    def test_pass_spec_distinguishes_entries(self):
-        obs = Observability.create()
-        session = CompilationSession(obs=obs)
-        plain = session.compiled_module(SOURCE, pass_spec="")
-        optimized = session.compiled_module(
-            SOURCE, pass_spec="constant-fold,copy-propagate,cse,jump-optimize,dead-code"
-        )
-        assert _cache_counters(obs)["misses"] == 2
-        assert optimized.total_code_size() <= plain.total_code_size()
+    def test_compiled_module_is_pre_optimized(self):
+        reference = compile_program(SOURCE)
+        optimize_module(reference)
+        module = CompilationSession().compiled_module(SOURCE)
+        assert format_module(module) == format_module(reference)
