@@ -17,7 +17,7 @@ Quickstart::
     print(result.code_increase, run_once(result.module).stdout)
 """
 
-from repro.compiler import compile_program, compile_with_analysis
+from repro.compiler import compile_program
 from repro.inliner.manager import InlineExpander, InlineResult, inline_module
 from repro.inliner.params import InlineParameters
 from repro.observability import Observability
@@ -46,7 +46,6 @@ __all__ = [
     "RunSpec",
     "VirtualOS",
     "compile_program",
-    "compile_with_analysis",
     "inline_module",
     "optimize_function",
     "optimize_module",

@@ -31,6 +31,8 @@ class ReproError(Exception):
 
     def __init__(self, message: str, location: SourceLocation | None = None):
         self.location = location
+        #: The message without its location prefix.
+        self.message = message
         if location is not None:
             message = f"{location}: {message}"
         super().__init__(message)

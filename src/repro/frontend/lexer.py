@@ -39,11 +39,11 @@ class Lexer:
     ['a', '+', '1']
     """
 
-    def __init__(self, text: str, filename: str = "<input>"):
+    def __init__(self, text: str, filename: str = "<input>", first_line: int = 1):
         self._text = text
         self._filename = filename
         self._pos = 0
-        self._line = 1
+        self._line = first_line
         self._col = 1
 
     def tokens(self) -> list[Token]:
@@ -234,6 +234,10 @@ class Lexer:
         raise LexError(f"stray character {self._peek()!r}", location)
 
 
-def tokenize(text: str, filename: str = "<input>") -> list[Token]:
-    """Convenience wrapper: lex ``text`` into a token list ending in EOF."""
-    return Lexer(text, filename).tokens()
+def tokenize(text: str, filename: str = "<input>", first_line: int = 1) -> list[Token]:
+    """Convenience wrapper: lex ``text`` into a token list ending in EOF.
+
+    ``first_line`` numbers the buffer's first line, for a buffer that
+    continues a translation unit begun by another one.
+    """
+    return Lexer(text, filename, first_line).tokens()

@@ -80,7 +80,7 @@ class Parser:
         self._structs: dict[str, StructType] = {}
         #: Names that have been declared as functions, used only to give
         #: better diagnostics; resolution happens in semantic analysis.
-        self._unit = ast.TranslationUnit()
+        self._unit = ast.TranslationUnit(location=tokens[0].location)
 
     # ------------------------------------------------------------------
     # token helpers
@@ -721,14 +721,15 @@ class Parser:
 
 
 def parse_translation_unit(
-    text: str, filename: str = "<input>", obs=None
+    text: str, filename: str = "<input>", obs=None, first_line: int = 1
 ) -> ast.TranslationUnit:
     """Lex and parse preprocessed C-subset source text.
 
     ``obs`` is an optional :class:`repro.observability.Observability`;
     when given, the token count is reported into its metrics.
+    ``first_line`` is the line number of the text's first line.
     """
-    tokens = tokenize(text, filename)
+    tokens = tokenize(text, filename, first_line)
     if obs is not None and obs.metrics.enabled:
         obs.metrics.inc("frontend.tokens_lexed", len(tokens))
     return Parser(tokens).parse()

@@ -9,7 +9,7 @@ callee set of the ``###`` call-through-pointer node (§2.5).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from repro.errors import SemanticError
 from repro.frontend import ast
@@ -64,10 +64,22 @@ class AnalyzedUnit:
 
 
 class Analyzer:
-    """Walks a TranslationUnit, checking and annotating it in place."""
+    """Walks a TranslationUnit, checking and annotating it in place.
 
-    def __init__(self, unit: ast.TranslationUnit):
+    With a ``prelude`` — the analysis of a unit that comes first in the
+    same translation unit, such as libc — the unit is analysed as if
+    its text followed the prelude's: the prelude's functions and
+    globals are in scope, its prototypes win over later ones, and a
+    clash raises the error the single translation unit would. The
+    prelude's symbols are copied, never mutated, and its bodies are
+    not analysed again.
+    """
+
+    def __init__(
+        self, unit: ast.TranslationUnit, prelude: AnalyzedUnit | None = None
+    ):
         self._unit = unit
+        self._prelude = prelude
         self._globals = Scope()
         self._scope = self._globals
         self._result = AnalyzedUnit(unit)
@@ -79,13 +91,34 @@ class Analyzer:
     # ------------------------------------------------------------------
 
     def analyze(self) -> AnalyzedUnit:
+        functions = self._result.functions
+        prelude = self._prelude
+        if prelude is not None:
+            for name, symbol in prelude.functions.items():
+                symbol = replace(symbol)
+                self._globals.declare(symbol)
+                functions[name] = symbol
         for name, signature in self._unit.declared_only.items():
+            if name in functions:
+                continue
             symbol = FunctionSymbol(signature, defined=False)
             self._globals.declare(symbol)
-            self._result.functions[name] = symbol
+            functions[name] = symbol
+        if prelude is not None:
+            # A prototype of a prelude function that the prelude never
+            # declared precedes its definition in the single unit.
+            for definition in prelude.unit.functions:
+                name = definition.name
+                signature = self._unit.declared_only.get(name)
+                if signature is not None and name not in prelude.unit.declared_only:
+                    self._in_this_file(
+                        self._check_signature_match,
+                        FunctionSymbol(signature),
+                        definition,
+                    )
         for function in self._unit.functions:
             assert function.signature is not None
-            existing = self._result.functions.get(function.name)
+            existing = functions.get(function.name)
             if existing is not None:
                 self._check_signature_match(existing, function)
                 existing.defined = True
@@ -94,12 +127,30 @@ class Analyzer:
                     function.signature, defined=True, location=function.location
                 )
                 self._globals.declare(symbol)
-                self._result.functions[function.name] = symbol
+                functions[function.name] = symbol
+        if prelude is not None:
+            for name, symbol in prelude.globals.items():
+                symbol = replace(symbol)
+                self._in_this_file(self._globals.declare, symbol)
+                self._result.globals[name] = symbol
         for global_var in self._unit.globals:
             self._declare_global(global_var)
         for function in self._unit.functions:
             self._analyze_function(function)
         return self._result
+
+    def _in_this_file(self, check, *args) -> None:
+        """Run ``check`` on a prelude entity, reporting errors in this file.
+
+        The single translation unit lexes the prelude's text under the
+        program's file name, so that is where its errors point.
+        """
+        try:
+            check(*args)
+        except SemanticError as error:
+            assert error.location is not None
+            where = replace(error.location, filename=self._unit.location.filename)
+            raise SemanticError(error.message, where) from None
 
     @staticmethod
     def _check_signature_match(
@@ -597,6 +648,12 @@ class Analyzer:
         raise SemanticError("expression is not an lvalue", expr.location)
 
 
-def analyze(unit: ast.TranslationUnit) -> AnalyzedUnit:
-    """Run semantic analysis over ``unit``, annotating it in place."""
-    return Analyzer(unit).analyze()
+def analyze(
+    unit: ast.TranslationUnit, prelude: AnalyzedUnit | None = None
+) -> AnalyzedUnit:
+    """Run semantic analysis over ``unit``, annotating it in place.
+
+    ``prelude`` is the analysis of the unit's leading part, see
+    :class:`Analyzer`.
+    """
+    return Analyzer(unit, prelude).analyze()

@@ -116,6 +116,28 @@ class ILFunction:
                 result[instr.label] = index
         return result
 
+    def content_key(self) -> tuple:
+        """A tuple over every field the optimizer or the VM linker reads.
+
+        Two functions with equal keys optimize and link identically, so
+        the key identifies a function by content: an in-place edit to
+        any instruction changes it, while a clone keeps it.
+        """
+        return (
+            self.name,
+            tuple(self.params),
+            self.returns_value,
+            self.inline_hint,
+            tuple(
+                (slot.name, slot.size, slot.align, slot.offset)
+                for slot in self.slots.values()
+            ),
+            self.frame_size,
+            self.next_temp,
+            self.next_label,
+            tuple([instr.key() for instr in self.body]),
+        )
+
     def clone(self) -> "ILFunction":
         """Deep-copy this function (used to duplicate callees, §2.4)."""
         copy = ILFunction(self.name, self.params, self.returns_value, self.inline_hint)

@@ -116,6 +116,24 @@ class Instr:
             self.site,
         )
 
+    def key(self) -> tuple:
+        """Every field as a tuple of plain values: equal keys mean equal
+        instructions. The opcode is an int so that the key marshals."""
+        return (
+            int(self.op),
+            self.dst,
+            self.op2,
+            self.a,
+            self.b,
+            self.name,
+            tuple(self.args),
+            self.label,
+            self.label2,
+            tuple(self.cases),
+            self.size,
+            self.site,
+        )
+
     # ------------------------------------------------------------------
     # operand introspection, used by the verifier and optimizer
 

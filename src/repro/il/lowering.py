@@ -766,9 +766,22 @@ def _lower_global_init(
     items.append(InitItem(offset, "int", value=value, size=min(ctype.size(), _WORD)))
 
 
-def lower_unit(analyzed: AnalyzedUnit, entry: str = "main") -> ILModule:
-    """Lower an analyzed translation unit to an IL module."""
-    module = ILModule(entry)
+def lower_unit(
+    analyzed: AnalyzedUnit, entry: str = "main", base: ILModule | None = None
+) -> ILModule:
+    """Lower an analyzed translation unit to an IL module.
+
+    With ``base`` — a module lowered from the unit's prelude (see
+    :class:`~repro.frontend.sema.Analyzer`), which this call takes over
+    and extends — the unit's globals and functions follow the base's,
+    and its call sites and strings are numbered after them, as in the
+    single translation unit. That holds as long as the base interned no
+    strings, because a single unit lowers every global before any body.
+    """
+    if base is not None and base._next_string:
+        raise LoweringError("a base module must not intern strings")
+    module = base if base is not None else ILModule()
+    module.entry = entry
     for decl in analyzed.unit.globals:
         assert decl.var_type is not None
         items: list[InitItem] = []

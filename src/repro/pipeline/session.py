@@ -3,8 +3,9 @@
 A session maps stable hash keys to the two expensive artifacts of the
 experiment pipeline:
 
-- **compiled modules**, keyed over the source text — the cached module
-  is already pre-optimized with the five-pass set, and lookups return a
+- **compiled modules**, keyed over the source text, libc and the
+  standard headers — the cached module is already pre-optimized with
+  the five-pass set, and lookups return a
   :meth:`~repro.il.module.ILModule.clone` so callers can mutate freely;
 - **profiles**, keyed over (module content, input fingerprints) — the
   module content key covers every instruction (including call-site
@@ -53,12 +54,14 @@ try:  # advisory locking is POSIX-only; elsewhere atomic rename suffices
 except ImportError:  # pragma: no cover - non-POSIX platform
     fcntl = None
 
+from repro import runtime
 from repro.observability import Observability, resolve
 
 #: Bump when the pickled artifact layout changes; old entries become
 #: invisible (a different subdirectory), not errors. Format 2: profiles
-#: carry per-run output digests (``ProfileData.outputs``).
-CACHE_FORMAT = 2
+#: carry per-run output digests (``ProfileData.outputs``). Format 3:
+#: module keys cover the libc source and the standard headers.
+CACHE_FORMAT = 3
 
 #: In-memory LRU bound, per artifact kind.
 MAX_ENTRIES = 256
@@ -71,8 +74,20 @@ def _digest(payload: Any) -> str:
 
 
 def module_cache_key(source: str) -> str:
-    """The content-addressed key of a compiled, pre-optimized module."""
-    return _digest({"format": CACHE_FORMAT, "kind": "module", "source": source})
+    """The content-addressed key of a compiled, pre-optimized module.
+
+    Every program links libc and may include the standard headers, so
+    their text is part of the key: an edit to either makes a new key.
+    """
+    return _digest(
+        {
+            "format": CACHE_FORMAT,
+            "kind": "module",
+            "source": source,
+            "libc": runtime.LIBC_SOURCE,
+            "headers": runtime.standard_headers(),
+        }
+    )
 
 
 def module_content_key(module) -> str:
@@ -100,26 +115,8 @@ def module_content_key(module) -> str:
             digest.update(item.data)
         digest.update(b"\n")
     for function in module.functions.values():
-        digest.update(
-            f"f {function.name}({','.join(function.params)})"
-            f" ret={function.returns_value}\n".encode()
-        )
-        for slot in function.slots.values():
-            digest.update(
-                f" s {slot.name} {slot.size} {slot.align} {slot.offset}\n".encode()
-            )
-        for instr in function.body:
-            digest.update(
-                repr(
-                    (
-                        int(instr.op), instr.dst, instr.op2, instr.a, instr.b,
-                        instr.name, tuple(instr.args), instr.label,
-                        instr.label2, tuple(instr.cases), instr.size,
-                        instr.site,
-                    )
-                ).encode()
-            )
-            digest.update(b"\n")
+        digest.update(repr(function.content_key()).encode())
+        digest.update(b"\n")
     return digest.hexdigest()
 
 

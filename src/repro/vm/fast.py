@@ -132,10 +132,13 @@ _FACTORY_CACHE: OrderedDict[tuple, "_FactoryTable"] = OrderedDict()
 _FACTORY_CACHE_LIMIT = 32
 _FACTORY_LOCK = threading.Lock()
 
-#: Fingerprint memo: source module -> {collect_branches: fingerprint}.
-#: Linking the same module with the same flags always produces the same
-#: instruction stream, so the (expensive) canonicalisation runs once
-#: per module instead of once per run.
+#: Fingerprint memo: source module -> {collect_branches: (link stamp,
+#: fingerprint)}. Linking the same module content with the same flags
+#: always produces the same instruction stream, so the (expensive)
+#: canonicalisation runs once per module instead of once per run. The
+#: machine's link stamp, a digest of its functions' content keys,
+#: revalidates an entry, so a module edited in place gets a new
+#: fingerprint.
 _FP_MEMO: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 
 _UNPACK4 = struct.Struct("<i").unpack_from
@@ -1143,7 +1146,7 @@ def _build_sources(compiled: dict) -> dict[str, str]:
 
 
 def _factories_for(compiled: dict, module=None,
-                   collect_branches: bool = False) -> _FactoryTable:
+                   collect_branches: bool = False, stamp=None) -> _FactoryTable:
     key = None
     if module is not None:
         try:
@@ -1151,10 +1154,12 @@ def _factories_for(compiled: dict, module=None,
         except TypeError:  # unhashable/unweakrefable module object
             memo = None
         if memo is not None:
-            key = memo.get(collect_branches)
-            if key is None:
+            entry = memo.get(collect_branches)
+            if entry is not None and entry[0] == stamp:
+                key = entry[1]
+            else:
                 key = _code_fingerprint(compiled)
-                memo[collect_branches] = key
+                memo[collect_branches] = (stamp, key)
     if key is None:
         key = _code_fingerprint(compiled)
     with _FACTORY_LOCK:
@@ -1189,7 +1194,7 @@ def run_fast(machine, entry_compiled, args: list[int]) -> int:
 
     compiled = machine._compiled
     factories = _factories_for(
-        compiled, machine.module, machine._collect_branches
+        compiled, machine.module, machine._collect_branches, machine._link_stamp
     )
     counters = machine.counters
     site_counts = counters.site_counts

@@ -27,6 +27,8 @@ dynamic-instruction throughput.
 
 from __future__ import annotations
 
+import hashlib
+import marshal
 import weakref
 from dataclasses import dataclass
 
@@ -223,6 +225,8 @@ class Machine:
         self._function_table: list[tuple] = []
         self._function_ids: dict[str, int] = {}
         self._compiled: dict[str, _CompiledFunction] = {}
+        #: A digest of the functions' content keys at link time.
+        self._link_stamp = b""
         self._link()
 
     # ------------------------------------------------------------------
@@ -257,20 +261,19 @@ class Machine:
             self._layout_seed,
             tuple(self._function_order) if self._function_order else None,
         )
-        # The stamp revalidates cache hits: transforms in this codebase
-        # clone modules before mutating, but in-place edits would
-        # otherwise serve stale code. Rebinding ``body`` or splicing it
-        # changes an id or a length here.
-        stamp = tuple(
-            (name, id(fn), id(fn.body), len(fn.body))
-            for name, fn in module.functions.items()
-        )
+        # The stamp revalidates cache hits by content: an in-place edit
+        # to any function, down to one operand, changes its key. A
+        # digest of the keys, not the keys, is kept: every linked module
+        # holds one, and the keys are as large as the code.
+        keys = tuple(fn.content_key() for fn in module.functions.values())
+        stamp = hashlib.blake2b(marshal.dumps(keys), digest_size=16).digest()
         cached = None
         try:
             cached = _COMPILED_MEMO.setdefault(module, {})
         except TypeError:  # un-weakref-able module stand-in (tests)
             pass
         hit = cached.get(compile_key) if cached is not None else None
+        self._link_stamp = stamp
         if hit is not None and hit[0] == stamp:
             self._compiled = hit[1]
         else:

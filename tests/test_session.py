@@ -50,6 +50,20 @@ class TestKeys:
         assert key == module_cache_key(SOURCE)
         assert key != module_cache_key(SOURCE + " ")
 
+    def test_module_key_covers_libc_and_headers(self, monkeypatch):
+        import repro.runtime
+
+        key = module_cache_key(SOURCE)
+        monkeypatch.setattr(
+            repro.runtime, "LIBC_SOURCE", repro.runtime.LIBC_SOURCE + "\n"
+        )
+        edited_libc = module_cache_key(SOURCE)
+        assert edited_libc != key
+        headers = repro.runtime.standard_headers()
+        headers["sys.h"] += "\n"
+        monkeypatch.setattr(repro.runtime, "standard_headers", lambda: headers)
+        assert module_cache_key(SOURCE) not in (key, edited_libc)
+
     def test_content_key_tracks_code_changes(self):
         session = CompilationSession()
         module = session.compiled_module(SOURCE)

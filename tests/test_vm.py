@@ -433,3 +433,19 @@ class TestIndirectCallCorners:
             ),
         )
         assert c_output(source) == "42"
+
+
+class TestLinkMemo:
+    """A machine links from a per-module memo; edits must never hit it stale."""
+
+    @pytest.mark.parametrize("engine", ["counting", "fast"])
+    def test_in_place_edit_is_relinked(self, engine):
+        from repro.il.instructions import Opcode
+
+        module = compile_program("int main(void) { return 3; }", link_libc=False)
+        assert Machine(module, engine=engine).run().exit_code == 3
+        for instr in module.functions["main"].body:
+            if instr.op is Opcode.RET and instr.a == 3:
+                instr.a = 42
+        assert Machine(module.clone(), engine=engine).run().exit_code == 42
+        assert Machine(module, engine=engine).run().exit_code == 42
